@@ -1,11 +1,24 @@
 """Exhaustive corpora of small posets and lattices.
 
+Unlabelled posets are grown one size at a time, in the spirit of McKay's
+isomorph-free exhaustive generation: every finite poset has a maximal
+element, so each class on n elements arises from a representative on
+n-1 elements by adding a new maximal element whose down-set is a lower
+set of it. The candidates are deduplicated through a canonical key, the
+minimum relation matrix over all relabelings that respect the refined
+invariant classes. Every representative is naturally labelled: i < j in
+the order implies i < j as indices.
+
+Lattices on n >= 2 elements are bounded posets, as in Heitzig and
+Reinhold: a bottom and a top around a representative on n-2 elements,
+kept when the result is a lattice. Two bounded posets are isomorphic
+exactly when their interiors are, so these need no deduplication.
+
 Two independent generators produce every labelled poset on n elements:
 one extends each poset on n-1 elements by a new element with a chosen
 (down-set, up-set) pair, the other filters the 3^C(n,2) antisymmetric
-candidate relations for transitivity. They must emit identical sets.
-Unlabelled corpora dedupe through a canonical key: the minimum relation
-matrix over all relabelings that respect the refined invariant classes.
+candidate relations for transitivity. They must emit identical sets;
+they back the labelled mode and serve the tests as oracles.
 """
 
 from __future__ import annotations
@@ -20,8 +33,13 @@ from .poset import Poset, bit_indices, mask_of, refined_invariants
 
 POSET_SIZE_CAP = 7
 LATTICE_SIZE_CAP = 8
+# 6,129,859 labelled posets on 7 elements would take gigabytes as a list
+LABELLED_POSET_SIZE_CAP = 6
 
 _ALPHABET = "abcdefgh"
+
+# (up-rows, down-rows) of one poset
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _labels(n: int) -> list[str]:
@@ -137,20 +155,50 @@ def canonical_key(up: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
-    """Every poset on n elements, labelled a, b, c, ... One representative
-    per isomorphism class unless up_to_iso is off."""
+def _extend_by_maximal(level: list[Rows]) -> list[Rows]:
+    """The unlabelled posets on k+1 elements, from those on k elements:
+    each gains a new maximal element k above one of its lower sets."""
+    reps: dict[tuple[int, ...], Rows] = {}
+    for up, down in level:
+        k = len(up)
+        bit = 1 << k
+        for d_mask in _down_closed_masks(down, k):
+            new_up = tuple(
+                row | bit if d_mask >> j & 1 else row for j, row in enumerate(up)
+            ) + (bit,)
+            key = canonical_key(new_up)
+            if key not in reps:
+                reps[key] = (new_up, down + (d_mask | bit,))
+    return list(reps.values())
+
+
+def _poset_levels(max_n: int) -> Iterator[list[Rows]]:
+    """The unlabelled posets on 0, 1, ..., max_n elements, one list per
+    size, each built once from the one before."""
+    level: list[Rows] = [((), ())]
+    for n in range(max_n + 1):
+        if n:
+            level = _extend_by_maximal(level)
+        yield level
+
+
+def _check_poset_size(n: int, up_to_iso: bool) -> None:
     if n > POSET_SIZE_CAP:
         raise CapExceeded("poset enumeration size", POSET_SIZE_CAP)
+    if not up_to_iso and n > LABELLED_POSET_SIZE_CAP:
+        raise CapExceeded("labelled poset enumeration size", LABELLED_POSET_SIZE_CAP)
+
+
+def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
+    """Every poset on n elements, labelled a, b, c, ... One representative
+    per isomorphism class unless up_to_iso is off; every labelling only up
+    to LABELLED_POSET_SIZE_CAP elements."""
+    _check_poset_size(n, up_to_iso)
     labels = _labels(n)
     if not up_to_iso:
         return [Poset(labels, up) for up in labelled_posets_by_extension(n)]
-    reps = {}
-    for up in labelled_posets_by_extension(n):
-        key = canonical_key(up)
-        if key not in reps:
-            reps[key] = up
-    return [Poset(labels, up) for up in sorted(reps.values())]
+    levels = list(_poset_levels(n))
+    return [Poset(labels, up) for up, _ in levels[-1]] if levels else []
 
 
 def _rows_form_lattice(up: Sequence[int], n: int) -> bool:
@@ -167,19 +215,41 @@ def _rows_form_lattice(up: Sequence[int], n: int) -> bool:
     return True
 
 
+def _bounded_lattices(level: list[Rows]) -> list[tuple[int, ...]]:
+    """Up-rows of the lattices on k+2 elements: a bottom (element 0) and a
+    top (element k+1) around each poset on k elements, where that gives a
+    lattice."""
+    out = []
+    for up, _ in level:
+        n = len(up) + 2
+        top = 1 << (n - 1)
+        rows = ((1 << n) - 1,) + tuple(row << 1 | top for row in up) + (top,)
+        if _rows_form_lattice(rows, n):
+            out.append(rows)
+    return out
+
+
+def _lattice_levels(max_n: int) -> Iterator[list[tuple[int, ...]]]:
+    """The lattices on 0, 1, ..., max_n elements as up-rows, one list per
+    size: none on 0 elements, the point on 1, bounded posets above."""
+    if max_n >= 0:
+        yield []
+    if max_n >= 1:
+        yield [(1,)]
+    for level in _poset_levels(max_n - 2):
+        yield _bounded_lattices(level)
+
+
+def _as_lattices(rows: list[tuple[int, ...]]) -> list[Lattice]:
+    return [Lattice.from_poset(Poset(_labels(len(up)), up)) for up in rows]
+
+
 def enumerate_lattices(n: int) -> list[Lattice]:
     """Every lattice on n elements up to isomorphism."""
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
-    labels = _labels(n)
-    reps = {}
-    for up in labelled_posets_by_extension(n):
-        if not _rows_form_lattice(up, n):
-            continue
-        key = canonical_key(up)
-        if key not in reps:
-            reps[key] = up
-    return [Lattice.from_poset(Poset(labels, up)) for up in sorted(reps.values())]
+    levels = list(_lattice_levels(n))
+    return _as_lattices(levels[-1]) if levels else []
 
 
 @dataclass(frozen=True)
@@ -191,19 +261,26 @@ class CorpusSpec:
     def __post_init__(self):
         if self.kind not in ("posets", "lattices"):
             raise ValueError(f"unknown corpus kind {self.kind!r}")
-        cap = POSET_SIZE_CAP if self.kind == "posets" else LATTICE_SIZE_CAP
-        if self.max_size > cap:
-            raise CapExceeded(f"{self.kind} corpus max size", cap)
+        if self.kind == "lattices" and not self.up_to_iso:
+            raise ValueError("lattice corpora exist only up to isomorphism")
+        if self.kind == "posets":
+            _check_poset_size(self.max_size, self.up_to_iso)
+        elif self.max_size > LATTICE_SIZE_CAP:
+            raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
 
 
 def corpus(spec: CorpusSpec) -> list:
     """All instances of the requested kind, sizes 0 through max_size."""
-    if spec.kind == "posets":
+    if spec.kind == "lattices":
         return [
-            p
-            for n in range(spec.max_size + 1)
-            for p in enumerate_posets(n, spec.up_to_iso)
+            t for rows in _lattice_levels(spec.max_size) for t in _as_lattices(rows)
+        ]
+    if not spec.up_to_iso:
+        return [
+            p for n in range(spec.max_size + 1) for p in enumerate_posets(n, False)
         ]
     return [
-        t for n in range(spec.max_size + 1) for t in enumerate_lattices(n)
+        Poset(_labels(len(up)), up)
+        for level in _poset_levels(spec.max_size)
+        for up, _ in level
     ]

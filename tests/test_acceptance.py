@@ -1,4 +1,4 @@
-"""Acceptance run: six end-to-end criteria, one verdict line each.
+"""Acceptance run: seven end-to-end criteria, one verdict line each.
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the
 PASS/FAIL lines and timings on the terminal.
@@ -13,6 +13,8 @@ from germclosure.cli import main
 from germclosure.closure import germ_closure
 from germclosure.embed import verify_partition
 from germclosure.enumeration import (
+    LATTICE_SIZE_CAP,
+    POSET_SIZE_CAP,
     CorpusSpec,
     canonical_key,
     corpus,
@@ -190,4 +192,22 @@ def test_criterion_6_duality_probe():
         6,
         ok,
         f"duality probe clean on {report.checked} posets up to size 5",
+    )
+
+
+def test_criterion_7_enumeration_at_the_caps():
+    """The unlabelled generators reach their size caps within budget and
+    hit the published counts (OEIS A000112 and A006966)."""
+    unlabelled = [1, 1, 2, 5, 16, 63, 318, 2045]
+    lattices = [0, 1, 1, 1, 2, 5, 15, 53, 222]
+    start = time.perf_counter()
+    poset_counts = [len(enumerate_posets(n)) for n in range(POSET_SIZE_CAP + 1)]
+    lattice_counts = [len(enumerate_lattices(n)) for n in range(LATTICE_SIZE_CAP + 1)]
+    elapsed = time.perf_counter() - start
+    ok = poset_counts == unlabelled and lattice_counts == lattices and elapsed < 10.0
+    _verdict(
+        7,
+        ok,
+        f"unlabelled {poset_counts}, lattices {lattice_counts}"
+        f" in {elapsed:.2f}s (budget 10s)",
     )

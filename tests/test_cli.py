@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from germclosure import enumeration
 from germclosure.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -126,6 +127,19 @@ def test_exit_code_missing_file(capsys):
 def test_exit_code_cap(capsys):
     code, _, err = run(["verify", "--max-size", "9"], capsys)
     assert code == 3
+
+
+def test_exit_code_labelled_cap_generates_nothing(capsys, monkeypatch):
+    calls = []
+
+    def generate(n):
+        calls.append(n)
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "labelled_posets_by_extension", generate)
+    code, _, err = run(["verify", "--no-up-to-iso", "--max-size", "7"], capsys)
+    assert code == 3
+    assert calls == []
 
 
 def test_exit_code_unknown_subset_label(capsys):

@@ -1,5 +1,5 @@
-"""Poset and lattice generators: the two labelled strategies, canonical
-deduplication, and the corpus plumbing."""
+"""Poset and lattice generators: the two labelled strategies, the
+unlabelled generators checked against them, and the corpus plumbing."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +14,7 @@ from germclosure import (
     labelled_posets_by_extension,
     labelled_posets_by_filtering,
 )
-from germclosure.enumeration import canonical_key
+from germclosure.enumeration import _rows_form_lattice, canonical_key
 from germclosure.poset import Poset, isomorphisms
 
 LABELLED = [1, 1, 3, 19, 219]
@@ -45,11 +45,29 @@ def test_lattices_at_six():
     assert len(enumerate_lattices(6)) == 15
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_unlabelled_posets_match_labelled_classes(n):
+    reps = {canonical_key(p.up) for p in enumerate_posets(n)}
+    assert reps == {canonical_key(up) for up in labelled_posets_by_extension(n)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bounded_lattices_match_filtered_labelled_stream(n):
+    """The bounded-poset lattices against the labelled stream filtered
+    for lattices and reduced to canonical keys."""
+    reps = {canonical_key(t.poset.up) for t in enumerate_lattices(n)}
+    assert reps == {
+        canonical_key(up)
+        for up in labelled_posets_by_extension(n)
+        if _rows_form_lattice(up, n)
+    }
+
+
 def test_representatives_pairwise_nonisomorphic():
-    reps = enumerate_posets(4)
-    for i, p in enumerate(reps):
-        for q in reps[i + 1 :]:
-            assert not isomorphisms(p, q, limit=1)
+    for reps in (enumerate_posets(5), [t.poset for t in enumerate_lattices(6)]):
+        for i, p in enumerate(reps):
+            for q in reps[i + 1 :]:
+                assert not isomorphisms(p, q, limit=1)
 
 
 def test_every_labelled_poset_matches_a_representative():
@@ -88,6 +106,13 @@ def test_corpus_spec_validation():
         CorpusSpec(8, "posets")
     with pytest.raises(CapExceeded):
         CorpusSpec(9, "lattices")
+    with pytest.raises(CapExceeded):
+        CorpusSpec(7, "posets", up_to_iso=False)
+
+
+def test_lattice_corpus_has_no_labelled_mode():
+    with pytest.raises(ValueError):
+        CorpusSpec(3, "lattices", up_to_iso=False)
 
 
 def test_corpus_flattens_all_sizes():
@@ -107,3 +132,5 @@ def test_size_caps():
         enumerate_posets(8)
     with pytest.raises(CapExceeded):
         enumerate_lattices(9)
+    with pytest.raises(CapExceeded):
+        enumerate_posets(7, up_to_iso=False)
