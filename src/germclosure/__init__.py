@@ -79,7 +79,6 @@ from .lattice import (
     Lattice,
     join_irreducibles,
     lambda_e,
-    lattice_from_poset,
     lower_set_lattice,
     r_inf,
     r_op,

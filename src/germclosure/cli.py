@@ -144,7 +144,7 @@ def cmd_base(args) -> int:
 def cmd_partition(args) -> int:
     doc, p = _load(args)
     t = _lattice(p)
-    cells = verify_partition(t, cap=args.cap)
+    cells = verify_partition(t)
     print(f"partition of subsets of {doc.name}: {len(cells)} cells, {1 << t.n} subsets")
     for cell in cells:
         print(
@@ -224,6 +224,18 @@ def cmd_dot(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse int type rejecting values below low."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # names the type in "invalid int value" errors
+    return parse
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="germclosure",
@@ -251,13 +263,12 @@ def _parser() -> argparse.ArgumentParser:
     sp = add("base", cmd_base, "unique germ-extensible base below a subset")
     sp.add_argument("--subset", required=True, help="comma-separated labels")
 
-    sp = add("partition", cmd_partition, "interval partition of all subsets")
-    sp.add_argument("--cap", type=int, default=12, help="largest lattice size")
+    add("partition", cmd_partition, "interval partition of all subsets")
 
     sp = add("dim", cmd_dim, "dimension table over a range of |X|")
-    sp.add_argument("--x-max", type=int, required=True)
-    sp.add_argument("--x-min", type=int, default=0)
-    sp.add_argument("--dim-v", type=int, default=1)
+    sp.add_argument("--x-max", type=_at_least(0), required=True)
+    sp.add_argument("--x-min", type=_at_least(0), default=0)
+    sp.add_argument("--dim-v", type=_at_least(1), default=1)
     sp.add_argument("--orientation", choices=("e", "eop"), default="e")
 
     sp = add("verify", cmd_verify, "run the fact suite over a corpus", needs_file=False)

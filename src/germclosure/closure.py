@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import NotAGermExtension
 from .germs import GermCutCase, GermRecord, LambdaCase, grm, grm_mask, is_germ_extension
 from .lattice import Lattice
-from .poset import ElemSet, Poset, bit_indices, isomorphisms, mask_of, set_label
+from .poset import ElemSet, Poset, bit_indices, inclusion_poset, isomorphisms, mask_of
 
 
 def lambda_sets(u: Poset) -> list[int]:
@@ -105,12 +105,7 @@ def germ_closure(u: Poset) -> GermClosure:
             cases.append(LambdaCase(b))
         else:
             cases.append(GermCutCase(by_mask[m].germ))
-    labels = [set_label(u, m) for m in masks]
-    up = [
-        mask_of(k for k, other in enumerate(masks) if m & ~other == 0)
-        for m in masks
-    ]
-    poset = Poset(labels, up)
+    poset = inclusion_poset(u, masks)
     index = {m: i for i, m in enumerate(masks)}
     embed = tuple(index[u.down[i]] for i in range(u.n))
     return GermClosure(u, poset, tuple(masks), tuple(cases), embed)

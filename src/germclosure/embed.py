@@ -20,6 +20,9 @@ from .germs import grm
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import ElemSet, bit_indices, mask_of
 
+# verify_partition walks all 2^n subsets of the lattice
+PARTITION_SIZE_CAP = 12
+
 
 @dataclass(frozen=True)
 class EmbedResult:
@@ -134,12 +137,12 @@ class PartitionCell:
     members: tuple[int, ...]
 
 
-def verify_partition(t: Lattice, cap: int = 12) -> list[PartitionCell]:
+def verify_partition(t: Lattice) -> list[PartitionCell]:
     """Group every subset of t by its unique base and check each group is
     the full interval [U, Ḡ(U)], sized 2^(|Ḡ(U)|-|U|)."""
     n = t.n
-    if n > cap:
-        raise CapExceeded("partition ground set size", cap)
+    if n > PARTITION_SIZE_CAP:
+        raise CapExceeded("partition ground set size", PARTITION_SIZE_CAP)
     groups: dict[int, list[int]] = {}
     for s_mask in range(1 << n):
         u = unique_base(t, ElemSet(t.poset, s_mask))

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceeded
 from .lattice import Lattice
-from .poset import Poset, bit_indices, mask_of, refined_invariants
+from .poset import Poset, bit_indices, down_closed_masks, mask_of, refined_invariants
 
 POSET_SIZE_CAP = 7
 LATTICE_SIZE_CAP = 8
@@ -46,23 +46,6 @@ def _labels(n: int) -> list[str]:
     return list(_ALPHABET[:n])
 
 
-def _down_closed_masks(down: Sequence[int], n: int) -> list[int]:
-    """All down-closed subsets of a poset given by its down rows."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ls in frontier:
-            for i in range(n):
-                if not ls >> i & 1 and down[i] & ~(1 << i) & ~ls == 0:
-                    m = ls | 1 << i
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-        frontier = nxt
-    return sorted(seen)
-
-
 def labelled_posets_by_extension(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the up-rows of every labelled poset on n elements, built by
     adding one element at a time."""
@@ -71,7 +54,7 @@ def labelled_posets_by_extension(n: int) -> Iterator[tuple[int, ...]]:
         nxt = []
         for down, up in level:
             full = (1 << k) - 1
-            lowers = _down_closed_masks(down, k)
+            lowers = down_closed_masks(down)
             uppers = [full ^ m for m in lowers]
             for d_mask in lowers:
                 allowed = full & ~d_mask
@@ -162,7 +145,7 @@ def _extend_by_maximal(level: list[Rows]) -> list[Rows]:
     for up, down in level:
         k = len(up)
         bit = 1 << k
-        for d_mask in _down_closed_masks(down, k):
+        for d_mask in down_closed_masks(down):
             new_up = tuple(
                 row | bit if d_mask >> j & 1 else row for j, row in enumerate(up)
             ) + (bit,)

@@ -33,7 +33,7 @@ from .germs import (
     lambda_witness,
 )
 from .lattice import Lattice, lambda_e, lower_set_lattice
-from .poset import ElemSet, Poset, bit_indices, isomorphisms, mask_of
+from .poset import ElemSet, Poset, bit_indices, embeddings, isomorphisms, mask_of
 
 PAIR_LIMIT = 4
 
@@ -181,44 +181,13 @@ def _pred_intermediate_extension(ctx: Context) -> Iterator[Result]:
             )
 
 
-def _count_base_fixing_embeddings(
-    clos, s: Poset, inclusion: list[int], stop_at: int = 2
-) -> int:
+def _count_base_fixing_embeddings(clos, s: Poset, inclusion: list[int]) -> int:
     """Order embeddings of s onto full subposets of the closure that fix
-    the embedded base pointwise."""
-    f = [-1] * s.n
+    the embedded base pointwise, counted up to 2."""
+    candidates = [clos.poset.full_mask] * s.n
     for k, si in enumerate(inclusion):
-        f[si] = clos.embed[k]
-    used = set(x for x in f if x >= 0)
-    free = [t for t in range(s.n) if f[t] == -1]
-    count = 0
-
-    def walk(idx: int) -> bool:
-        nonlocal count
-        if idx == len(free):
-            count += 1
-            return count >= stop_at
-        t = free[idx]
-        for g in range(clos.n):
-            if g in used:
-                continue
-            ok = all(
-                s.leq(t, t2) == (clos.masks[g] & ~clos.masks[f[t2]] == 0)
-                and s.leq(t2, t) == (clos.masks[f[t2]] & ~clos.masks[g] == 0)
-                for t2 in range(s.n)
-                if f[t2] >= 0
-            )
-            if ok:
-                f[t] = g
-                used.add(g)
-                if walk(idx + 1):
-                    return True
-                used.discard(g)
-                f[t] = -1
-        return False
-
-    walk(0)
-    return count
+        candidates[si] = 1 << clos.embed[k]
+    return len(embeddings(s, clos.poset, candidates, limit=2))
 
 
 def _pred_universal_property(ctx: Context) -> Iterator[Result]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, NotALattice
-from .poset import Poset, bit_indices, mask_of, set_label
+from .errors import NotALattice
+from .poset import Poset, bit_indices, down_closed_masks, inclusion_poset, mask_of
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,6 @@ class Lattice:
         return cls(p, tuple(map(tuple, join)), tuple(map(tuple, meet)))
 
 
-def lattice_from_poset(p: Poset) -> Lattice:
-    return Lattice.from_poset(p)
-
-
 DEFAULT_LOWER_SET_CAP = 1 << 20
 
 
@@ -115,27 +111,8 @@ def lower_set_lattice(u: Poset, cap: int = DEFAULT_LOWER_SET_CAP) -> Lattice:
     Elements are sorted by (cardinality, bitmask) and labelled in set
     notation; element_masks records the subset each element stands for.
     """
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ls in frontier:
-            for i in range(u.n):
-                if not ls >> i & 1 and u.strict_down(i) & ~ls == 0:
-                    m = ls | 1 << i
-                    if m not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded("lower set count", cap)
-                        seen.add(m)
-                        nxt.append(m)
-        frontier = nxt
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    labels = [set_label(u, m) for m in masks]
-    up = [
-        mask_of(k for k, other in enumerate(masks) if m & ~other == 0)
-        for m in masks
-    ]
-    got = Lattice.from_poset(Poset(labels, up))
+    masks = sorted(down_closed_masks(u.down, cap), key=lambda m: (m.bit_count(), m))
+    got = Lattice.from_poset(inclusion_poset(u, masks))
     return Lattice(got.poset, got.join, got.meet, base=u, element_masks=tuple(masks))
 
 

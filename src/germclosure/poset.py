@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CycleError, DuplicateLabel, UnknownLabel
+from .errors import CapExceeded, CycleError, DuplicateLabel, UnknownLabel
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -29,9 +29,38 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def down_closed_masks(down: Sequence[int], cap: Optional[int] = None) -> list[int]:
+    """All down-closed subsets of the poset with the given down rows, as
+    ascending ints. Raises CapExceeded once more than cap turn up."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ls in frontier:
+            for i, row in enumerate(down):
+                m = ls | 1 << i
+                if m != ls and row & ~m == 0 and m not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise CapExceeded("lower set count", cap)
+                    seen.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return sorted(seen)
+
+
 def set_label(p: "Poset", mask: int) -> str:
     """Set-notation label for a subset of p, '{a,b}' style."""
     return "{" + ",".join(p.labels[i] for i in bit_indices(mask)) + "}"
+
+
+def inclusion_poset(p: "Poset", masks: Sequence[int]) -> "Poset":
+    """The subsets masks of p ordered by inclusion, labelled in set
+    notation; element k stands for masks[k]."""
+    up = [
+        mask_of(k for k, other in enumerate(masks) if m & ~other == 0)
+        for m in masks
+    ]
+    return Poset([set_label(p, m) for m in masks], up)
 
 
 class Poset:
@@ -351,8 +380,39 @@ def refined_invariants(
     return inv
 
 
-def _refined_invariants(p: Poset) -> list:
-    return refined_invariants(p.up, p.down)
+def embeddings(
+    p: Poset, q: Poset, candidates: Sequence[int], limit: Optional[int] = None
+) -> list[tuple[int, ...]]:
+    """Injective index tuples f with i <= k iff f[i] <= f[k], each f[i]
+    drawn from the bitmask candidates[i]; stops after limit hits.
+
+    The one map search in the package. Elements with the fewest
+    candidates are placed first, each onto the images related to every
+    earlier image exactly as p relates the preimages.
+    """
+    n = p.n
+    order = sorted(range(n), key=lambda i: candidates[i].bit_count())
+    found: list[tuple[int, ...]] = []
+    f = [-1] * n
+
+    def place(k: int, used: int) -> bool:
+        if k == n:
+            found.append(tuple(f))
+            return limit is not None and len(found) >= limit
+        i = order[k]
+        allowed = candidates[i] & ~used
+        for ii in order[:k]:
+            j = f[ii]
+            allowed &= q.up[j] if p.up[ii] >> i & 1 else ~q.up[j]
+            allowed &= q.down[j] if p.down[ii] >> i & 1 else ~q.down[j]
+        for j in bit_indices(allowed):
+            f[i] = j
+            if place(k + 1, used | 1 << j):
+                return True
+        return False
+
+    place(0, 0)
+    return found
 
 
 def isomorphisms(p: Poset, q: Poset, limit: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -363,42 +423,28 @@ def isomorphisms(p: Poset, q: Poset, limit: Optional[int] = None) -> list[tuple[
     """
     if p.n != q.n:
         return []
-    pinv = _refined_invariants(p)
-    qinv = _refined_invariants(q)
+    pinv = refined_invariants(p.up, p.down)
+    qinv = refined_invariants(q.up, q.down)
     if sorted(pinv) != sorted(qinv):
         return []
-    candidates = [[j for j in range(q.n) if qinv[j] == pinv[i]] for i in range(p.n)]
-    order = sorted(range(p.n), key=lambda i: len(candidates[i]))
-    found: list[tuple[int, ...]] = []
-    f = [-1] * p.n
-    used = [False] * q.n
-
-    def place(k: int) -> bool:
-        if k == p.n:
-            found.append(tuple(f))
-            return limit is not None and len(found) >= limit
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for kk in range(k):
-                ii = order[kk]
-                if p.leq(i, ii) != q.leq(j, f[ii]) or p.leq(ii, i) != q.leq(f[ii], j):
-                    ok = False
-                    break
-            if ok:
-                f[i] = j
-                used[j] = True
-                if place(k + 1):
-                    return True
-                used[j] = False
-                f[i] = -1
-        return False
-
-    place(0)
-    return found
+    candidates = [mask_of(j for j in range(q.n) if qinv[j] == v) for v in pinv]
+    return embeddings(p, q, candidates, limit)
 
 
 def automorphism_count(p: Poset) -> int:
-    return len(isomorphisms(p, p))
+    """|Aut(p)| by orbit-stabilizer: the product over t of the orbit of t
+    under the automorphisms fixing 0..t-1, each orbit member confirmed by
+    one limit=1 search. No automorphism list is built."""
+    inv = refined_invariants(p.up, p.down)
+    candidates = [mask_of(j for j in range(p.n) if inv[j] == v) for v in inv]
+    count = 1
+    for t in range(p.n):
+        orbit = 1
+        for j in bit_indices(candidates[t] & ~(1 << t)):
+            trial = candidates.copy()
+            trial[t] = 1 << j
+            orbit += bool(embeddings(p, p, trial, limit=1))
+        count *= orbit
+        candidates = [c & ~(1 << t) for c in candidates]
+        candidates[t] = 1 << t
+    return count

@@ -124,7 +124,7 @@ def test_criterion_3_partition_totals():
     lattices = [t for n in range(1, 7) for t in enumerate_lattices(n)]
     ok = True
     for t in lattices:
-        cells = verify_partition(t, cap=12)
+        cells = verify_partition(t)
         total = sum(
             1 << (cell.top_mask.bit_count() - cell.base_mask.bit_count())
             for cell in cells

@@ -142,6 +142,43 @@ def test_exit_code_labelled_cap_generates_nothing(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--x-max", "2", "--x-min", "-1"],
+        ["--x-max", "-1"],
+        ["--x-max", "2", "--dim-v", "0"],
+    ],
+)
+def test_dim_rejects_bad_numbers_before_printing(bad, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["dim", str(INPUTS / "vee.txt"), *bad])
+    captured = capsys.readouterr()
+    assert e.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_dim_on_a_wide_antichain(tmp_path, capsys):
+    doc = tmp_path / "anti10.txt"
+    labels = " ".join(f"a{i}" for i in range(10))
+    doc.write_text(f"elements: {labels}\nrelations:\n")
+    code, out, _ = run(["dim", str(doc), "--x-max", "1"], capsys)
+    assert code == 0
+    assert "|Aut|=3628800" in out.splitlines()[0]
+
+
+def test_partition_beyond_the_size_cap_exits_3(tmp_path, capsys):
+    doc = tmp_path / "chain13.txt"
+    labels = [f"c{i}" for i in range(13)]
+    relations = " ".join(f"{a}<{b}" for a, b in zip(labels, labels[1:]))
+    doc.write_text(f"elements: {' '.join(labels)}\nrelations: {relations}\n")
+    code, out, err = run(["partition", str(doc)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "12" in err
+
+
 def test_exit_code_unknown_subset_label(capsys):
     code, _, err = run(
         ["extensible", str(INPUTS / "twelve.txt"), "--subset", "Q"], capsys

@@ -16,7 +16,6 @@ from germclosure import (
     g_t,
     ghat_t,
     is_germ_extensible,
-    lattice_from_poset,
     lower_set_lattice,
     nu,
     unique_base,
@@ -71,7 +70,7 @@ def test_g_families_on_twelve(twelve):
 
 def test_irr_closure_equals_g_t_on_examples(twelve):
     assert irr_closure_equals_g_t(twelve)
-    assert irr_closure_equals_g_t(lattice_from_poset(chain(4)))
+    assert irr_closure_equals_g_t(Lattice.from_poset(chain(4)))
     for n in range(1, 6):
         for t in enumerate_lattices(n):
             assert irr_closure_equals_g_t(t)
@@ -102,7 +101,7 @@ def test_unique_base_rejects_foreign_subset(twelve):
 
 
 def test_partition_of_two_chain():
-    t = lattice_from_poset(chain(2))
+    t = Lattice.from_poset(chain(2))
     cells = verify_partition(t)
     assert len(cells) == 2
     assert {(frozenset(), 2), (frozenset({"u2"}), 2)} == {
@@ -133,7 +132,7 @@ def test_partition_bases_are_exactly_the_extensible_sets(twelve):
 
 
 def test_partition_cap():
-    big = lattice_from_poset(chain(13))
+    big = Lattice.from_poset(chain(13))
     with pytest.raises(CapExceeded):
         verify_partition(big)
 
@@ -151,7 +150,7 @@ def test_membership_in_own_cell(twelve):
 def test_nu_not_injective_without_criterion():
     """In the four-chain, the subset {top} misses the middle: its closure
     has two elements mapping apart, but {u1} collapses."""
-    t = lattice_from_poset(chain(2))
+    t = Lattice.from_poset(chain(2))
     res = is_germ_extensible(t, t.poset.subset(["u1"]))
     assert not res.extensible
     assert len(set(res.nu_image)) < res.closure.n

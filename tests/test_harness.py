@@ -1,9 +1,14 @@
 """The fact suite itself: registry completeness, report aggregation, and
 a green run over a small corpus."""
 
-from germclosure import CorpusSpec, PredicateReport, run_suite
-from germclosure.harness import PREDICATES, Context, describe_poset
-from germclosure.poset import Poset, chain
+from germclosure import CorpusSpec, PredicateReport, germ_closure, run_suite
+from germclosure.harness import (
+    PREDICATES,
+    Context,
+    _count_base_fixing_embeddings,
+    describe_poset,
+)
+from germclosure.poset import Poset, antichain, chain
 
 EXPECTED_NAMES = {
     "cogerm-uniqueness",
@@ -78,3 +83,16 @@ def test_describe_poset_is_replayable():
 def test_context_defaults():
     ctx = Context([chain(2)], [])
     assert ctx.pair_limit == 4
+
+
+def test_base_fixing_embeddings_none_and_capped():
+    # a third incomparable point has no image in G of an antichain of 2
+    clos = germ_closure(antichain(2))
+    assert _count_base_fixing_embeddings(clos, antichain(3), [0, 1]) == 0
+    # over the germ extension a, b < c the embedding exists and is unique
+    vee = Poset.from_relations(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    assert _count_base_fixing_embeddings(clos, vee, [0, 1]) == 1
+    # pinning only u1 of an antichain of 4 leaves three images for the
+    # second point; the count stops at 2
+    clos = germ_closure(antichain(4))
+    assert _count_base_fixing_embeddings(clos, antichain(2), [0]) == 2

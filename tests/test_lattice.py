@@ -14,7 +14,6 @@ from germclosure import (
     enumerate_lattices,
     join_irreducibles,
     lambda_e,
-    lattice_from_poset,
     lower_set_lattice,
     r_inf,
     r_op,
@@ -53,7 +52,7 @@ def test_not_a_lattice_reports_offending_pair(vee):
     with pytest.raises(NotALattice):
         Lattice.from_poset(Poset([], []))
     with pytest.raises(NotALattice):
-        lattice_from_poset(antichain(2))
+        Lattice.from_poset(antichain(2))
 
 
 def test_bottom_top_and_empty_operations(twelve):

@@ -1,10 +1,13 @@
 """Order relation plumbing: construction, intervals, bounds, subposets,
 isomorphism search."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from germclosure import (
+    CapExceeded,
     CycleError,
     DuplicateLabel,
     ElemSet,
@@ -13,9 +16,17 @@ from germclosure import (
     antichain,
     automorphism_count,
     chain,
+    enumerate_lattices,
+    enumerate_posets,
     isomorphisms,
 )
-from germclosure.poset import bit_indices, mask_of, set_label
+from germclosure.poset import (
+    bit_indices,
+    down_closed_masks,
+    embeddings,
+    mask_of,
+    set_label,
+)
 
 
 def test_from_relations_takes_transitive_closure(vee):
@@ -154,6 +165,59 @@ def test_automorphism_counts_on_examples(vee, npos, twelve):
     assert automorphism_count(npos) == 1
     # the H/I swap and the mirror (E G)(C D)(A B) generate the group
     assert automorphism_count(twelve.poset) == 4
+
+
+def test_automorphism_count_matches_listed_automorphisms():
+    """Orbit-stabilizer agrees with listing the whole group."""
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    posets += [t.poset for n in range(9) for t in enumerate_lattices(n)]
+    for p in posets:
+        assert automorphism_count(p) == len(isomorphisms(p, p)), p.up
+
+
+def _brute_force_isomorphisms(p: Poset, q: Poset) -> set[tuple[int, ...]]:
+    return {
+        f
+        for f in permutations(range(q.n))
+        if all(
+            p.leq(i, k) == q.leq(f[i], f[k]) for i in range(p.n) for k in range(p.n)
+        )
+    }
+
+
+def test_isomorphisms_match_brute_force():
+    """Against every permutation, for each poset on up to 5 points paired
+    with itself, a relabelled copy, and the next representative."""
+    for n in range(6):
+        reps = enumerate_posets(n)
+        for idx, p in enumerate(reps):
+            # q is p with element i renamed n-1-i
+            q = Poset(
+                p.labels,
+                [mask_of(n - 1 - j for j in bit_indices(p.up[n - 1 - i])) for i in range(n)],
+            )
+            for other in (p, q, reps[(idx + 1) % len(reps)]):
+                assert set(isomorphisms(p, other)) == _brute_force_isomorphisms(p, other)
+
+
+def test_automorphism_count_of_wide_antichain():
+    assert automorphism_count(antichain(12)) == 479001600
+
+
+def test_embeddings_draw_from_candidates():
+    c2, c3 = chain(2), chain(3)
+    assert embeddings(c2, c3, [c3.full_mask] * 2) == [(0, 1), (0, 2), (1, 2)]
+    assert embeddings(c2, c3, [c3.full_mask, 0b010]) == [(0, 1)]
+    assert embeddings(c2, c3, [c3.full_mask] * 2, limit=2) == [(0, 1), (0, 2)]
+    assert embeddings(antichain(2), c3, [c3.full_mask] * 2) == []
+
+
+def test_down_closed_masks_ascending():
+    assert down_closed_masks(chain(3).down) == [0b000, 0b001, 0b011, 0b111]
+    assert down_closed_masks(antichain(2).down) == [0, 1, 2, 3]
+    with pytest.raises(CapExceeded):
+        down_closed_masks(antichain(3).down, cap=7)
+    assert len(down_closed_masks(antichain(3).down, cap=8)) == 8
 
 
 def test_isomorphism_respects_order():
