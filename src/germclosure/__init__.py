@@ -85,7 +85,7 @@ from .lattice import (
     sigma_inf,
     sigma_op,
 )
-from .poset import ElemSet, Poset, antichain, automorphism_count, chain, isomorphisms
+from .poset import Poset, antichain, automorphism_count, chain, isomorphisms
 from .repdim import DimQuery, dimension, dimension_table, g_size
 
 __all__ = [name for name in dir() if not name.startswith("_")]

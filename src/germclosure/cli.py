@@ -29,7 +29,7 @@ from .errors import CapExceeded, DocumentSyntaxError, PosetError
 from .germs import GermCutCase, LambdaCase, grm
 from .harness import PREDICATES, run_suite
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
-from .poset import ElemSet, Poset, automorphism_count, mask_of, set_label
+from .poset import Poset, automorphism_count, set_label
 from .repdim import DimQuery, dimension, g_size
 
 
@@ -38,13 +38,8 @@ def _load(args) -> tuple[PosetDocument, Poset]:
     return doc, to_poset(doc)
 
 
-def _lattice(p: Poset) -> Lattice:
-    return Lattice.from_poset(p)
-
-
 def _subset_mask(p: Poset, spec: str) -> int:
-    labels = [tok for tok in spec.split(",") if tok.strip()]
-    return mask_of(p.index(tok.strip()) for tok in labels)
+    return p.subset(tok.strip() for tok in spec.split(",") if tok.strip())
 
 
 def _chain_str(rec) -> str:
@@ -97,7 +92,7 @@ def cmd_closure(args) -> int:
 
 def cmd_gt(args) -> int:
     doc, p = _load(args)
-    t = _lattice(p)
+    t = Lattice.from_poset(p)
     lam = lambda_e(t)
     hat = ghat_t(t)
     members = lam | hat
@@ -115,14 +110,13 @@ def cmd_gt(args) -> int:
 
 def cmd_extensible(args) -> int:
     doc, p = _load(args)
-    t = _lattice(p)
-    u_set = ElemSet(p, _subset_mask(p, args.subset))
-    res = is_germ_extensible(t, u_set)
+    t = Lattice.from_poset(p)
+    res = is_germ_extensible(t, _subset_mask(p, args.subset))
     verdict = "extensible" if res.extensible else "not extensible"
-    print(f"U = {set_label(p, u_set.mask)} inside {doc.name}: {verdict}")
+    print(f"U = {set_label(p, res.subset)} inside {doc.name}: {verdict}")
     print(f"closure size: {res.closure.n}")
     if res.extensible:
-        print(f"G-bar: {set_label(p, res.g_bar.mask)}")
+        print(f"G-bar: {set_label(p, res.g_bar)}")
     else:
         germs = " ".join(p.labels[i] for i in res.violating_germs)
         print(f"violating germs: {germs}")
@@ -131,19 +125,18 @@ def cmd_extensible(args) -> int:
 
 def cmd_base(args) -> int:
     doc, p = _load(args)
-    t = _lattice(p)
-    s_set = ElemSet(p, _subset_mask(p, args.subset))
-    u_set = unique_base(t, s_set)
-    res = is_germ_extensible(t, u_set)
-    print(f"S = {set_label(p, s_set.mask)} inside {doc.name}")
-    print(f"base U = {set_label(p, u_set.mask)}")
-    print(f"G-bar(U) = {set_label(p, res.g_bar.mask)}")
+    t = Lattice.from_poset(p)
+    s_mask = _subset_mask(p, args.subset)
+    res = unique_base(t, s_mask)
+    print(f"S = {set_label(p, s_mask)} inside {doc.name}")
+    print(f"base U = {set_label(p, res.subset)}")
+    print(f"G-bar(U) = {set_label(p, res.g_bar)}")
     return 0
 
 
 def cmd_partition(args) -> int:
     doc, p = _load(args)
-    t = _lattice(p)
+    t = Lattice.from_poset(p)
     cells = verify_partition(t)
     print(f"partition of subsets of {doc.name}: {len(cells)} cells, {1 << t.n} subsets")
     for cell in cells:
@@ -219,7 +212,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     doc, p = _load(args)
-    lat = _lattice(p) if doc.kind == "lattice" else None
+    lat = Lattice.from_poset(p) if doc.kind == "lattice" else None
     print(to_dot(p, name=doc.name, lattice=lat), end="")
     return 0
 

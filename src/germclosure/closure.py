@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import NotAGermExtension
 from .germs import GermCutCase, GermRecord, LambdaCase, grm, grm_mask, is_germ_extension
 from .lattice import Lattice
-from .poset import ElemSet, Poset, bit_indices, inclusion_poset, isomorphisms, mask_of
+from .poset import Poset, bit_indices, inclusion_poset, isomorphisms, mask_of, sorted_by_size
 
 
 def lambda_sets(u: Poset) -> list[int]:
@@ -34,7 +34,7 @@ def lambda_sets(u: Poset) -> list[int]:
             if c not in sets:
                 sets.add(c)
                 work.append(c)
-    return sorted(sets, key=lambda m: (m.bit_count(), m))
+    return sorted_by_size(sets)
 
 
 def ghat_sets(u: Poset) -> list[tuple[int, GermRecord]]:
@@ -97,7 +97,7 @@ def germ_closure(u: Poset) -> GermClosure:
     for m, rec in ghat:
         assert m not in by_mask, "two germs share a strict lower cut"
         by_mask[m] = rec
-    masks = sorted(lam + list(by_mask), key=lambda m: (m.bit_count(), m))
+    masks = sorted_by_size(lam + list(by_mask))
     cases: list[LambdaCase | GermCutCase] = []
     for m in masks:
         if m in lam_set:
@@ -131,8 +131,7 @@ def canonical_embed(
         for k in range(base.n):
             if base.leq(i, k) != s.leq(inclusion[i], inclusion[k]):
                 raise ValueError("inclusion is not a full-subposet embedding")
-    u_in_s = mask_of(inclusion)
-    if not is_germ_extension(ElemSet(s, u_in_s)):
+    if not is_germ_extension(s, mask_of(inclusion)):
         raise NotAGermExtension(
             "the ambient poset does not germ-extend the embedded base"
         )

@@ -16,9 +16,9 @@ from typing import Sequence
 
 from .closure import GermClosure, germ_closure
 from .errors import CapExceeded
-from .germs import grm
+from .germs import GermCutCase, grm
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
-from .poset import ElemSet, bit_indices, mask_of
+from .poset import bit_indices, mask_of, sorted_by_size
 
 # verify_partition walks all 2^n subsets of the lattice
 PARTITION_SIZE_CAP = 12
@@ -26,10 +26,14 @@ PARTITION_SIZE_CAP = 12
 
 @dataclass(frozen=True)
 class EmbedResult:
+    """Germ extensibility of U = subset inside a lattice; g_bar is the
+    mask of Ḡ(U) when U is extensible and None otherwise."""
+
+    subset: int
     extensible: bool
     closure: GermClosure
     nu_image: tuple[int, ...]
-    g_bar: ElemSet | None
+    g_bar: int | None
     violating_germs: tuple[int, ...]
 
 
@@ -39,28 +43,33 @@ def nu(t: Lattice, u_indices: Sequence[int], s_mask: int) -> int:
     return t.join_mask(mask_of(u_indices[k] for k in bit_indices(s_mask)))
 
 
-def is_germ_extensible(t: Lattice, u_set: ElemSet) -> EmbedResult:
-    """Decide ν-injectivity for U inside t via the germ-join criterion,
-    carrying the closure, the ν image and any violating germs along."""
-    if u_set.poset != t.poset:
-        raise ValueError("the subset does not live in the given lattice")
-    sub = t.poset.full_subposet(u_set.mask)
-    keep = t.poset.sub_indices(u_set.mask)
-    closure = germ_closure(sub)
+def _check_subset(t: Lattice, mask: int) -> None:
+    if mask & ~t.poset.full_mask:
+        raise ValueError("the subset has elements outside the given lattice")
+
+
+def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
+    """Decide ν-injectivity for U = u_mask inside t via the germ-join
+    criterion, carrying the closure, the ν image and any violating germs
+    along. A germ r of U violates it when ν of its strict cut, the
+    closure's GermCutCase element for r, is r itself."""
+    _check_subset(t, u_mask)
+    keep = t.poset.sub_indices(u_mask)
+    closure = germ_closure(t.poset.full_subposet(u_mask))
     nu_image = tuple(nu(t, keep, m) for m in closure.masks)
-    violating = tuple(
-        keep[rec.germ]
-        for rec in grm(sub)
-        if nu(t, keep, sub.strict_down(rec.germ)) == keep[rec.germ]
-    )
+    violating = tuple(sorted(
+        keep[case.germ]
+        for case, x in zip(closure.cases, nu_image)
+        if isinstance(case, GermCutCase) and x == keep[case.germ]
+    ))
     extensible = not violating
     g_bar = None
     if extensible:
         assert len(set(nu_image)) == closure.n, (
             "the join criterion holds but ν identifies two closure elements"
         )
-        g_bar = ElemSet(t.poset, mask_of(nu_image))
-    return EmbedResult(extensible, closure, nu_image, g_bar, violating)
+        g_bar = mask_of(nu_image)
+    return EmbedResult(u_mask, extensible, closure, nu_image, g_bar, violating)
 
 
 def g_sharp(t: Lattice) -> int:
@@ -92,12 +101,9 @@ def alpha(t: Lattice, u_indices: Sequence[int], x: int) -> int:
 def irr_closure_equals_g_t(t: Lattice) -> bool:
     """Whether E = Irr(t) is germ extensible with Ḡ(E) = G_t and the maps
     ν and α mutually inverse between G(E) and G_t."""
-    e_set = ElemSet(t.poset, t.irr_mask)
     keep = t.poset.sub_indices(t.irr_mask)
-    res = is_germ_extensible(t, e_set)
-    if not res.extensible:
-        return False
-    if res.g_bar is None or res.g_bar.mask != g_t(t):
+    res = is_germ_extensible(t, t.irr_mask)
+    if res.g_bar != g_t(t):
         return False
     for i, m in enumerate(res.closure.masks):
         if alpha(t, keep, res.nu_image[i]) != m:
@@ -110,24 +116,23 @@ def irr_closure_equals_g_t(t: Lattice) -> bool:
     return True
 
 
-def unique_base(t: Lattice, s_set: ElemSet) -> ElemSet:
+def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
-    germ of S that equals the join of the S-elements below it."""
-    if s_set.poset != t.poset:
-        raise ValueError("the subset does not live in the given lattice")
-    sub = t.poset.full_subposet(s_set.mask)
-    keep = t.poset.sub_indices(s_set.mask)
+    germ of S that equals the join of the S-elements below it. Returns
+    is_germ_extensible(t, U), which carries U and Ḡ(U)."""
+    _check_subset(t, s_mask)
+    sub = t.poset.full_subposet(s_mask)
+    keep = t.poset.sub_indices(s_mask)
     drop = mask_of(
         keep[rec.germ]
         for rec in grm(sub)
-        if t.join_mask(s_set.mask & t.poset.strict_down(keep[rec.germ]))
+        if t.join_mask(s_mask & t.poset.strict_down(keep[rec.germ]))
         == keep[rec.germ]
     )
-    u_set = ElemSet(t.poset, s_set.mask & ~drop)
-    res = is_germ_extensible(t, u_set)
+    res = is_germ_extensible(t, s_mask & ~drop)
     assert res.extensible, "the base produced by germ removal is not extensible"
-    assert s_set.mask & ~res.g_bar.mask == 0, "S escapes the interval [U, Ḡ(U)]"
-    return u_set
+    assert s_mask & ~res.g_bar == 0, "S escapes the interval [U, Ḡ(U)]"
+    return res
 
 
 @dataclass(frozen=True)
@@ -144,13 +149,15 @@ def verify_partition(t: Lattice) -> list[PartitionCell]:
     if n > PARTITION_SIZE_CAP:
         raise CapExceeded("partition ground set size", PARTITION_SIZE_CAP)
     groups: dict[int, list[int]] = {}
+    tops: dict[int, int] = {}
     for s_mask in range(1 << n):
-        u = unique_base(t, ElemSet(t.poset, s_mask))
-        groups.setdefault(u.mask, []).append(s_mask)
+        res = unique_base(t, s_mask)
+        groups.setdefault(res.subset, []).append(s_mask)
+        tops[res.subset] = res.g_bar
     cells = []
-    for u_mask in sorted(groups, key=lambda m: (m.bit_count(), m)):
+    for u_mask in sorted_by_size(groups):
         members = groups[u_mask]
-        top = is_germ_extensible(t, ElemSet(t.poset, u_mask)).g_bar.mask
+        top = tops[u_mask]
         for m in members:
             assert u_mask & ~m == 0 and m & ~top == 0, (
                 "a subset strays outside its cell interval"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotAGermExtension
-from .poset import ElemSet, Poset, bit_indices, mask_of
+from .poset import Poset, bit_indices, mask_of
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,10 @@ def grm_mask(p: Poset) -> int:
     return mask_of(r.germ for r in grm(p))
 
 
-def u_below(u_set: ElemSet, s: int) -> ElemSet:
-    """U_{<=s}: the members of U below the ambient element s."""
-    return ElemSet(u_set.poset, u_set.mask & u_set.poset.down[s])
-
-
-def detects(u_set: ElemSet) -> bool:
-    """Whether comparisons in the ambient poset are decided by U-shadows:
-    s <= t iff U_{<=s} is a subset of U_{<=t}."""
-    p = u_set.poset
-    shadows = [u_set.mask & p.down[s] for s in range(p.n)]
+def detects(p: Poset, u_mask: int) -> bool:
+    """Whether comparisons in the ambient poset p are decided by the
+    shadows of U = u_mask: s <= t iff U_{<=s} is a subset of U_{<=t}."""
+    shadows = [u_mask & p.down[s] for s in range(p.n)]
     for s in range(p.n):
         for t in range(p.n):
             if p.leq(s, t) != (shadows[s] & ~shadows[t] == 0):
@@ -85,11 +79,10 @@ def detects(u_set: ElemSet) -> bool:
     return True
 
 
-def is_germ_extension(u_set: ElemSet) -> bool:
-    """Whether every ambient element outside U is a germ of the ambient
-    poset."""
-    p = u_set.poset
-    return p.full_mask & ~u_set.mask & ~grm_mask(p) == 0
+def is_germ_extension(p: Poset, u_mask: int) -> bool:
+    """Whether every element of the ambient poset p outside U = u_mask
+    is a germ of p."""
+    return p.full_mask & ~u_mask & ~grm_mask(p) == 0
 
 
 @dataclass(frozen=True)
@@ -109,42 +102,40 @@ class GermCutCase:
 ElementCase = LambdaCase | GermCutCase
 
 
-def lambda_witness(u_set: ElemSet, s: int) -> int | None:
+def lambda_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """Largest B within U with U_{<=B} == U_{<=s}, or None if no B works."""
-    p = u_set.poset
-    shadow = u_set.mask & p.down[s]
-    b = mask_of(i for i in bit_indices(u_set.mask) if shadow & ~p.down[i] == 0)
-    cut = u_set.mask
+    shadow = u_mask & p.down[s]
+    b = mask_of(i for i in bit_indices(u_mask) if shadow & ~p.down[i] == 0)
+    cut = u_mask
     for i in bit_indices(b):
         cut &= p.down[i]
     return b if cut == shadow else None
 
 
-def germ_cut_witness(u_set: ElemSet, s: int) -> int | None:
+def germ_cut_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """A germ r of the subposet U whose strict cut ]*,r[ equals U_{<=s},
     or None. Indices are ambient."""
-    p = u_set.poset
-    shadow = u_set.mask & p.down[s]
-    sub = p.full_subposet(u_set.mask)
-    keep = p.sub_indices(u_set.mask)
+    shadow = u_mask & p.down[s]
+    sub = p.full_subposet(u_mask)
+    keep = p.sub_indices(u_mask)
     for rec in grm(sub):
         r = keep[rec.germ]
-        if u_set.mask & p.strict_down(r) == shadow:
+        if u_mask & p.strict_down(r) == shadow:
             return r
     return None
 
 
-def classify(u_set: ElemSet, s: int) -> ElementCase:
+def classify(p: Poset, u_mask: int, s: int) -> ElementCase:
     """Whichever of the two shadow shapes holds for s, asserting the other
-    one fails. Only meaningful when the ambient poset germ-extends U."""
-    if not is_germ_extension(u_set):
+    one fails. Only meaningful when the ambient poset p germ-extends U."""
+    if not is_germ_extension(p, u_mask):
         raise NotAGermExtension(
             "the ambient poset is not a germ extension of the given subset"
         )
-    b = lambda_witness(u_set, s)
-    r = germ_cut_witness(u_set, s)
+    b = lambda_witness(p, u_mask, s)
+    r = germ_cut_witness(p, u_mask, s)
     assert (b is None) != (r is None), (
-        f"element {u_set.poset.labels[s]} fits"
+        f"element {p.labels[s]} fits"
         f" {'both shapes' if b is not None else 'neither shape'}"
     )
     return LambdaCase(b) if b is not None else GermCutCase(r)

@@ -33,7 +33,7 @@ from .germs import (
     lambda_witness,
 )
 from .lattice import Lattice, lambda_e, lower_set_lattice
-from .poset import ElemSet, Poset, bit_indices, embeddings, isomorphisms, mask_of
+from .poset import Poset, bit_indices, embeddings, isomorphisms, mask_of
 
 PAIR_LIMIT = 4
 
@@ -84,7 +84,7 @@ def _pairs(ctx: Context) -> Iterator[tuple[Poset, int]]:
 
 def _extension_pairs(ctx: Context) -> Iterator[tuple[Poset, int]]:
     for s, u_mask in _pairs(ctx):
-        if is_germ_extension(ElemSet(s, u_mask)):
+        if is_germ_extension(s, u_mask):
             yield s, u_mask
 
 
@@ -126,17 +126,16 @@ def _pred_germ_chain_nesting(ctx: Context) -> Iterator[Result]:
 def _pred_base_detects(ctx: Context) -> Iterator[Result]:
     """A germ extension is detected by its base."""
     for s, u_mask in _extension_pairs(ctx):
-        yield _describe_pair(s, u_mask), detects(ElemSet(s, u_mask)), "not detected"
+        yield _describe_pair(s, u_mask), detects(s, u_mask), "not detected"
 
 
 def _pred_shadow_shape_exclusive(ctx: Context) -> Iterator[Result]:
     """In a germ extension, every shadow U_{<=s} is a cut U_{<=B} or a
     strict germ cut, never both, never neither."""
     for s, u_mask in _extension_pairs(ctx):
-        u_set = ElemSet(s, u_mask)
         for t in range(s.n):
-            b = lambda_witness(u_set, t)
-            r = germ_cut_witness(u_set, t)
+            b = lambda_witness(s, u_mask, t)
+            r = germ_cut_witness(s, u_mask, t)
             yield (
                 f"{_describe_pair(s, u_mask)}; s={s.labels[t]}",
                 (b is None) != (r is None),
@@ -148,17 +147,17 @@ def _pred_shadows_force_extension(ctx: Context) -> Iterator[Result]:
     """Detection plus both shadow shapes everywhere forces a germ
     extension."""
     for s, u_mask in _pairs(ctx):
-        u_set = ElemSet(s, u_mask)
-        if not detects(u_set):
+        if not detects(s, u_mask):
             continue
         if any(
-            lambda_witness(u_set, t) is None and germ_cut_witness(u_set, t) is None
+            lambda_witness(s, u_mask, t) is None
+            and germ_cut_witness(s, u_mask, t) is None
             for t in range(s.n)
         ):
             continue
         yield (
             _describe_pair(s, u_mask),
-            is_germ_extension(u_set),
+            is_germ_extension(s, u_mask),
             "hypotheses hold but some non-base element is not a germ",
         )
 
@@ -173,7 +172,7 @@ def _pred_intermediate_extension(ctx: Context) -> Iterator[Result]:
             r_mask = u_mask | mask_of(sub_bits[k] for k in bit_indices(pick))
             sub = s.full_subposet(r_mask)
             keep = s.sub_indices(r_mask)
-            ok = is_germ_extension(ElemSet(sub, _compress(u_mask, keep)))
+            ok = is_germ_extension(sub, _compress(u_mask, keep))
             yield (
                 f"{_describe_pair(s, u_mask)}; R={{{','.join(s.labels[i] for i in bit_indices(r_mask))}}}",
                 ok,
@@ -347,7 +346,7 @@ def _pred_nu_criterion(ctx: Context) -> Iterator[Result]:
     always monotone."""
     for t in ctx.lattices:
         for u_mask in range(1 << t.n):
-            res = is_germ_extensible(t, ElemSet(t.poset, u_mask))
+            res = is_germ_extensible(t, u_mask)
             inst = _describe_pair(t.poset, u_mask)
             direct = len(set(res.nu_image)) == res.closure.n
             yield inst, res.extensible == direct, (
@@ -375,8 +374,8 @@ def _pred_partition(ctx: Context) -> Iterator[Result]:
             continue
         total = sum(len(c.members) for c in cells)
         yield inst, total == 1 << t.n, f"cells cover {total} of {1 << t.n} subsets"
-        base = unique_base(t, ElemSet(t.poset, t.poset.full_mask))
-        ok = base.mask == t.poset.full_mask & ~grm_mask(t.poset)
+        base = unique_base(t, t.poset.full_mask).subset
+        ok = base == t.poset.full_mask & ~grm_mask(t.poset)
         yield inst, ok, "base of the whole lattice is not lattice minus germs"
 
 

@@ -11,9 +11,17 @@ strictly above, and r^∞ / σ^∞ iterate those to their fixpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotALattice
-from .poset import Poset, bit_indices, down_closed_masks, inclusion_poset, mask_of
+from .poset import (
+    Poset,
+    bit_indices,
+    down_closed_masks,
+    inclusion_poset,
+    mask_of,
+    sorted_by_size,
+)
 
 
 @dataclass(frozen=True)
@@ -29,11 +37,11 @@ class Lattice:
     def n(self) -> int:
         return self.poset.n
 
-    @property
+    @cached_property
     def bottom(self) -> int:
         return self.meet_mask(self.poset.full_mask)
 
-    @property
+    @cached_property
     def top(self) -> int:
         return self.join_mask(self.poset.full_mask)
 
@@ -45,28 +53,20 @@ class Lattice:
 
     def join_mask(self, mask: int) -> int:
         """Join of a set of elements; empty join is the bottom."""
+        if not mask:
+            return self.bottom
         it = bit_indices(mask)
-        out = next(it, None)
-        if out is None:
-            m = self.poset.full_mask
-            for i in bit_indices(m):
-                if self.poset.up[i] == m:
-                    return i
-            raise AssertionError("lattice without bottom")
+        out = next(it)
         for i in it:
             out = self.join[out][i]
         return out
 
     def meet_mask(self, mask: int) -> int:
         """Meet of a set of elements; empty meet is the top."""
+        if not mask:
+            return self.top
         it = bit_indices(mask)
-        out = next(it, None)
-        if out is None:
-            m = self.poset.full_mask
-            for i in bit_indices(m):
-                if self.poset.down[i] == m:
-                    return i
-            raise AssertionError("lattice without top")
+        out = next(it)
         for i in it:
             out = self.meet[out][i]
         return out
@@ -111,7 +111,7 @@ def lower_set_lattice(u: Poset, cap: int = DEFAULT_LOWER_SET_CAP) -> Lattice:
     Elements are sorted by (cardinality, bitmask) and labelled in set
     notation; element_masks records the subset each element stands for.
     """
-    masks = sorted(down_closed_masks(u.down, cap), key=lambda m: (m.bit_count(), m))
+    masks = sorted_by_size(down_closed_masks(u.down, cap))
     got = Lattice.from_poset(inclusion_poset(u, masks))
     return Lattice(got.poset, got.join, got.meet, base=u, element_masks=tuple(masks))
 

@@ -48,6 +48,12 @@ def down_closed_masks(down: Sequence[int], cap: Optional[int] = None) -> list[in
     return sorted(seen)
 
 
+def sorted_by_size(masks: Iterable[int]) -> list[int]:
+    """A family of subsets in the package's one set order: by
+    cardinality, then by bitmask."""
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
 def set_label(p: "Poset", mask: int) -> str:
     """Set-notation label for a subset of p, '{a,b}' style."""
     return "{" + ",".join(p.labels[i] for i in bit_indices(mask)) + "}"
@@ -293,53 +299,9 @@ class Poset:
     def maximal_mask(self) -> int:
         return mask_of(i for i in range(self.n) if self.strict_up(i) == 0)
 
-    def subset(self, labels: Iterable[str]) -> "ElemSet":
-        return ElemSet(self, mask_of(self.index(lab) for lab in labels))
-
-    def elem_set(self, mask: int) -> "ElemSet":
-        return ElemSet(self, mask)
-
-
-class ElemSet:
-    """A subset of a poset's elements; iterates indices ascending."""
-
-    def __init__(self, poset: Poset, mask: int):
-        self.poset = poset
-        self.mask = mask
-
-    def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ElemSet)
-            and self.poset == other.poset
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.mask))
-
-    def __and__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.poset, self.mask & other.mask)
-
-    def __or__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.poset, self.mask | other.mask)
-
-    def __sub__(self, other: "ElemSet") -> "ElemSet":
-        return ElemSet(self.poset, self.mask & ~other.mask)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.poset.labels[i] for i in self)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(self.labels()) + "}"
+    def subset(self, labels: Iterable[str]) -> int:
+        """The mask of the named elements; UnknownLabel on a bad name."""
+        return mask_of(self.index(lab) for lab in labels)
 
 
 def chain(n: int, prefix: str = "u") -> Poset:

@@ -2,10 +2,12 @@
 reconstruction from lattices, automorphism transport."""
 
 import pytest
+from hypothesis import given, settings
 
 from germclosure import (
     GermCutCase,
     LambdaCase,
+    Lattice,
     NotAGermExtension,
     Poset,
     antichain,
@@ -21,6 +23,7 @@ from germclosure import (
     reconstruct_from_lattice,
 )
 from germclosure.poset import bit_indices, mask_of
+from test_poset import random_dags
 
 
 def members(p: Poset, clos) -> set[frozenset[str]]:
@@ -193,6 +196,21 @@ def test_reconstruct_all_small_lattices():
                     assert t.poset.leq(x, y) == clos.poset.leq(j[x], j[y])
 
 
+@settings(deadline=None)
+@given(random_dags(max_n=9))
+def test_reconstruct_closures_of_random_posets(data):
+    """Tabulating G(p) as a lattice and reconstructing it gives an order
+    bijection onto a closure whose base is isomorphic to p."""
+    p = Poset.from_relations(*data)
+    t = Lattice.from_poset(germ_closure(p).poset)
+    clos, j = reconstruct_from_lattice(t)
+    assert clos.n == t.n and sorted(j) == list(range(t.n))
+    for x in range(t.n):
+        for y in range(t.n):
+            assert t.poset.leq(x, y) == clos.poset.leq(j[x], j[y])
+    assert isomorphisms(clos.base, p, limit=1)
+
+
 def test_aut_transport_examples(vee, npos, twelve):
     assert aut_transport(vee) == (2, 2)
     assert aut_transport(npos) == (1, 1)
@@ -217,6 +235,6 @@ def test_closure_is_a_germ_extension_of_its_base():
     for n in range(5):
         for p in enumerate_posets(n):
             clos = germ_closure(p)
-            base = clos.poset.elem_set(mask_of(clos.embed))
-            assert is_germ_extension(base)
-            assert detects(base)
+            base = mask_of(clos.embed)
+            assert is_germ_extension(clos.poset, base)
+            assert detects(clos.poset, base)

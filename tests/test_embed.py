@@ -5,7 +5,6 @@ import pytest
 
 from germclosure import (
     CapExceeded,
-    ElemSet,
     Lattice,
     alpha,
     antichain,
@@ -36,27 +35,27 @@ def test_nu_joins_shadows(twelve):
 
 
 def test_irreducibles_of_twelve_are_extensible(twelve):
-    res = is_germ_extensible(twelve, ElemSet(twelve.poset, twelve.irr_mask))
+    res = is_germ_extensible(twelve, twelve.irr_mask)
     assert res.extensible
     assert res.violating_germs == ()
     assert res.closure.n == 10
-    assert labels_of(twelve, res.g_bar.mask) == {
+    assert labels_of(twelve, res.g_bar) == {
         "bot", "H", "I", "M", "E", "F", "G", "A", "B", "top",
     }
 
 
 def test_adding_bot_breaks_extensibility(twelve):
     p = twelve.poset
-    u = ElemSet(p, twelve.irr_mask | 1 << p.index("bot"))
-    res = is_germ_extensible(twelve, u)
+    res = is_germ_extensible(twelve, twelve.irr_mask | 1 << p.index("bot"))
     assert not res.extensible
     assert res.g_bar is None
     assert [p.labels[i] for i in res.violating_germs] == ["bot"]
 
 
 def test_extensible_rejects_foreign_subset(twelve):
-    with pytest.raises(ValueError):
-        is_germ_extensible(twelve, chain(2).subset(["u1"]))
+    for mask in (1 << twelve.n, -1):
+        with pytest.raises(ValueError):
+            is_germ_extensible(twelve, mask)
 
 
 def test_g_families_on_twelve(twelve):
@@ -78,26 +77,26 @@ def test_irr_closure_equals_g_t_on_examples(twelve):
 
 def test_alpha_inverts_nu_on_twelve(twelve):
     keep = twelve.poset.sub_indices(twelve.irr_mask)
-    res = is_germ_extensible(twelve, ElemSet(twelve.poset, twelve.irr_mask))
+    res = is_germ_extensible(twelve, twelve.irr_mask)
     for i, m in enumerate(res.closure.masks):
         assert alpha(twelve, keep, res.nu_image[i]) == m
 
 
 def test_unique_base_of_full_twelve(twelve):
-    base = unique_base(twelve, ElemSet(twelve.poset, twelve.poset.full_mask))
-    assert labels_of(twelve, base.mask) == {
+    base = unique_base(twelve, twelve.poset.full_mask)
+    assert labels_of(twelve, base.subset) == {
         "H", "I", "E", "F", "G", "C", "D", "A", "B",
     }
 
 
 def test_unique_base_is_identity_on_extensible_sets(twelve):
-    u = ElemSet(twelve.poset, twelve.irr_mask)
-    assert unique_base(twelve, u).mask == twelve.irr_mask
+    assert unique_base(twelve, twelve.irr_mask).subset == twelve.irr_mask
 
 
 def test_unique_base_rejects_foreign_subset(twelve):
-    with pytest.raises(ValueError):
-        unique_base(twelve, chain(2).subset(["u1"]))
+    for mask in (1 << twelve.n, -1):
+        with pytest.raises(ValueError):
+            unique_base(twelve, mask)
 
 
 def test_partition_of_two_chain():
@@ -126,7 +125,7 @@ def test_partition_bases_are_exactly_the_extensible_sets(twelve):
     direct = {
         m
         for m in range(1 << twelve.n)
-        if is_germ_extensible(twelve, ElemSet(twelve.poset, m)).extensible
+        if is_germ_extensible(twelve, m).extensible
     }
     assert bases == direct
 
@@ -165,6 +164,6 @@ def test_gbar_members_on_lower_set_lattice(npos):
         for i, m in enumerate(lsl.element_masks)
         if any(m == npos.down[k] for k in range(npos.n))
     )
-    res = is_germ_extensible(lsl, ElemSet(lsl.poset, principal))
+    res = is_germ_extensible(lsl, principal)
     assert res.extensible
-    assert res.g_bar.mask.bit_count() == 6
+    assert res.g_bar.bit_count() == 6
