@@ -101,8 +101,7 @@ def germ_closure(u: Poset) -> GermClosure:
     cases: list[LambdaCase | GermCutCase] = []
     for m in masks:
         if m in lam_set:
-            b = mask_of(i for i in range(u.n) if m & ~u.down[i] == 0)
-            cases.append(LambdaCase(b))
+            cases.append(LambdaCase(u.upper_bounds(m)))
         else:
             cases.append(GermCutCase(by_mask[m].germ))
     poset = inclusion_poset(u, masks)

@@ -18,7 +18,7 @@ from .closure import GermClosure, germ_closure
 from .errors import CapExceeded
 from .germs import GermCutCase, grm
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
-from .poset import bit_indices, mask_of, sorted_by_size
+from .poset import bit_indices, check_subset, mask_of, sorted_by_size
 
 # verify_partition walks all 2^n subsets of the lattice
 PARTITION_SIZE_CAP = 12
@@ -43,17 +43,12 @@ def nu(t: Lattice, u_indices: Sequence[int], s_mask: int) -> int:
     return t.join_mask(mask_of(u_indices[k] for k in bit_indices(s_mask)))
 
 
-def _check_subset(t: Lattice, mask: int) -> None:
-    if mask & ~t.poset.full_mask:
-        raise ValueError("the subset has elements outside the given lattice")
-
-
 def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
     """Decide ν-injectivity for U = u_mask inside t via the germ-join
     criterion, carrying the closure, the ν image and any violating germs
     along. A germ r of U violates it when ν of its strict cut, the
     closure's GermCutCase element for r, is r itself."""
-    _check_subset(t, u_mask)
+    check_subset(t.poset, u_mask)
     keep = t.poset.sub_indices(u_mask)
     closure = germ_closure(t.poset.full_subposet(u_mask))
     nu_image = tuple(nu(t, keep, m) for m in closure.masks)
@@ -120,7 +115,7 @@ def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
     germ of S that equals the join of the S-elements below it. Returns
     is_germ_extensible(t, U), which carries U and Ḡ(U)."""
-    _check_subset(t, s_mask)
+    check_subset(t.poset, s_mask)
     sub = t.poset.full_subposet(s_mask)
     keep = t.poset.sub_indices(s_mask)
     drop = mask_of(

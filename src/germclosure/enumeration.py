@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded
+from .errors import CapExceeded, NotALattice
 from .lattice import Lattice
 from .poset import Poset, bit_indices, down_closed_masks, mask_of, refined_invariants
 
@@ -184,47 +184,31 @@ def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
     return [Poset(labels, up) for up, _ in levels[-1]] if levels else []
 
 
-def _rows_form_lattice(up: Sequence[int], n: int) -> bool:
-    """Bottom plus binary joins; in a finite poset that already forces
-    binary meets and a top."""
-    full = (1 << n) - 1
-    if not any(row == full for row in up):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            ub = up[i] & up[j]
-            if not any(ub & ~up[t] == 0 for t in bit_indices(ub)):
-                return False
-    return True
-
-
-def _bounded_lattices(level: list[Rows]) -> list[tuple[int, ...]]:
-    """Up-rows of the lattices on k+2 elements: a bottom (element 0) and a
-    top (element k+1) around each poset on k elements, where that gives a
+def _bounded_lattices(level: list[Rows]) -> list[Lattice]:
+    """The lattices on k+2 elements: a bottom (element 0) and a top
+    (element k+1) around each poset on k elements, where that gives a
     lattice."""
     out = []
     for up, _ in level:
         n = len(up) + 2
         top = 1 << (n - 1)
         rows = ((1 << n) - 1,) + tuple(row << 1 | top for row in up) + (top,)
-        if _rows_form_lattice(rows, n):
-            out.append(rows)
+        try:
+            out.append(Lattice.from_poset(Poset(_labels(n), rows)))
+        except NotALattice:
+            pass
     return out
 
 
-def _lattice_levels(max_n: int) -> Iterator[list[tuple[int, ...]]]:
-    """The lattices on 0, 1, ..., max_n elements as up-rows, one list per
-    size: none on 0 elements, the point on 1, bounded posets above."""
+def _lattice_levels(max_n: int) -> Iterator[list[Lattice]]:
+    """The lattices on 0, 1, ..., max_n elements, one list per size: none
+    on 0 elements, the point on 1, bounded posets above."""
     if max_n >= 0:
         yield []
     if max_n >= 1:
-        yield [(1,)]
+        yield [Lattice.from_poset(Poset(_labels(1), (1,)))]
     for level in _poset_levels(max_n - 2):
         yield _bounded_lattices(level)
-
-
-def _as_lattices(rows: list[tuple[int, ...]]) -> list[Lattice]:
-    return [Lattice.from_poset(Poset(_labels(len(up)), up)) for up in rows]
 
 
 def enumerate_lattices(n: int) -> list[Lattice]:
@@ -232,7 +216,7 @@ def enumerate_lattices(n: int) -> list[Lattice]:
     if n > LATTICE_SIZE_CAP:
         raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
     levels = list(_lattice_levels(n))
-    return _as_lattices(levels[-1]) if levels else []
+    return levels[-1] if levels else []
 
 
 @dataclass(frozen=True)
@@ -255,9 +239,7 @@ class CorpusSpec:
 def corpus(spec: CorpusSpec) -> list:
     """All instances of the requested kind, sizes 0 through max_size."""
     if spec.kind == "lattices":
-        return [
-            t for rows in _lattice_levels(spec.max_size) for t in _as_lattices(rows)
-        ]
+        return [t for level in _lattice_levels(spec.max_size) for t in level]
     if not spec.up_to_iso:
         return [
             p for n in range(spec.max_size + 1) for p in enumerate_posets(n, False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotAGermExtension
-from .poset import Poset, bit_indices, mask_of
+from .poset import Poset, bit_indices, check_subset, mask_of
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,13 @@ class GermRecord:
 def cogerm_candidates(p: Poset, u: int) -> list[int]:
     """All v making u a germ. The defining conditions force at most one;
     callers may assert that."""
-    if p.sup_of(p.strict_down(u)) != u:
+    # u = sup ]*,u[ iff the bounds match u's row; sup_of would give every
+    # poset the grm cache keeps alive a row dict
+    if p.upper_bounds(p.strict_down(u)) != p.up[u]:
         return []
     out = []
     for v in bit_indices(p.up[u]):
-        if p.inf_of(p.strict_up(v)) != v:
+        if p.lower_bounds(p.strict_up(v)) != p.down[v]:
             continue
         seg = p.up[u] & p.down[v]
         if p.up[u] != seg | p.strict_up(v):
@@ -71,6 +73,7 @@ def grm_mask(p: Poset) -> int:
 def detects(p: Poset, u_mask: int) -> bool:
     """Whether comparisons in the ambient poset p are decided by the
     shadows of U = u_mask: s <= t iff U_{<=s} is a subset of U_{<=t}."""
+    check_subset(p, u_mask)
     shadows = [u_mask & p.down[s] for s in range(p.n)]
     for s in range(p.n):
         for t in range(p.n):
@@ -82,6 +85,7 @@ def detects(p: Poset, u_mask: int) -> bool:
 def is_germ_extension(p: Poset, u_mask: int) -> bool:
     """Whether every element of the ambient poset p outside U = u_mask
     is a germ of p."""
+    check_subset(p, u_mask)
     return p.full_mask & ~u_mask & ~grm_mask(p) == 0
 
 
@@ -104,17 +108,16 @@ ElementCase = LambdaCase | GermCutCase
 
 def lambda_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """Largest B within U with U_{<=B} == U_{<=s}, or None if no B works."""
+    check_subset(p, u_mask)
     shadow = u_mask & p.down[s]
-    b = mask_of(i for i in bit_indices(u_mask) if shadow & ~p.down[i] == 0)
-    cut = u_mask
-    for i in bit_indices(b):
-        cut &= p.down[i]
-    return b if cut == shadow else None
+    b = u_mask & p.upper_bounds(shadow)
+    return b if u_mask & p.lower_bounds(b) == shadow else None
 
 
 def germ_cut_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """A germ r of the subposet U whose strict cut ]*,r[ equals U_{<=s},
     or None. Indices are ambient."""
+    check_subset(p, u_mask)
     shadow = u_mask & p.down[s]
     sub = p.full_subposet(u_mask)
     keep = p.sub_indices(u_mask)

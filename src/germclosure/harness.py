@@ -42,7 +42,6 @@ PAIR_LIMIT = 4
 class Context:
     posets: list[Poset]
     lattices: list[Lattice]
-    pair_limit: int = PAIR_LIMIT
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def _compress(mask: int, keep: list[int]) -> int:
 
 def _pairs(ctx: Context) -> Iterator[tuple[Poset, int]]:
     for s in ctx.posets:
-        if s.n > ctx.pair_limit:
+        if s.n > PAIR_LIMIT:
             continue
         for u_mask in range(1 << s.n):
             yield s, u_mask

@@ -11,17 +11,9 @@ strictly above, and r^∞ / σ^∞ iterate those to their fixpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import NotALattice
-from .poset import (
-    Poset,
-    bit_indices,
-    down_closed_masks,
-    inclusion_poset,
-    mask_of,
-    sorted_by_size,
-)
+from .poset import Poset, down_closed_masks, inclusion_poset, mask_of, sorted_by_size
 
 
 @dataclass(frozen=True)
@@ -37,13 +29,13 @@ class Lattice:
     def n(self) -> int:
         return self.poset.n
 
-    @cached_property
+    @property
     def bottom(self) -> int:
-        return self.meet_mask(self.poset.full_mask)
+        return self.join_mask(0)
 
-    @cached_property
+    @property
     def top(self) -> int:
-        return self.join_mask(self.poset.full_mask)
+        return self.meet_mask(0)
 
     @property
     def irr_mask(self) -> int:
@@ -53,23 +45,11 @@ class Lattice:
 
     def join_mask(self, mask: int) -> int:
         """Join of a set of elements; empty join is the bottom."""
-        if not mask:
-            return self.bottom
-        it = bit_indices(mask)
-        out = next(it)
-        for i in it:
-            out = self.join[out][i]
-        return out
+        return self.poset.sup_of(mask)
 
     def meet_mask(self, mask: int) -> int:
         """Meet of a set of elements; empty meet is the top."""
-        if not mask:
-            return self.top
-        it = bit_indices(mask)
-        out = next(it)
-        for i in it:
-            out = self.meet[out][i]
-        return out
+        return self.poset.inf_of(mask)
 
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":

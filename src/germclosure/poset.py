@@ -48,6 +48,12 @@ def down_closed_masks(down: Sequence[int], cap: Optional[int] = None) -> list[in
     return sorted(seen)
 
 
+def check_subset(p: "Poset", mask: int) -> None:
+    """Raise ValueError unless mask is a subset of p's elements."""
+    if mask & ~p.full_mask:
+        raise ValueError("the subset has elements outside the given poset")
+
+
 def sorted_by_size(masks: Iterable[int]) -> list[int]:
     """A family of subsets in the package's one set order: by
     cardinality, then by bitmask."""
@@ -209,24 +215,25 @@ class Poset:
             lb &= self.down[i]
         return lb
 
+    # Antisymmetry keeps rows distinct: sup(S) is the element whose up-row is upper_bounds(S).
+    @cached_property
+    def _by_up_row(self) -> dict[int, int]:
+        return {row: i for i, row in enumerate(self.up)}
+
+    @cached_property
+    def _by_down_row(self) -> dict[int, int]:
+        return {row: i for i, row in enumerate(self.down)}
+
     def sup_of(self, mask: int) -> Optional[int]:
         """Least upper bound of the set, or None if there is none.
 
         sup_of(0) is the smallest element of the poset when one exists.
         """
-        ub = self.upper_bounds(mask)
-        for i in bit_indices(ub):
-            if self.up[i] & ub == ub:
-                return i
-        return None
+        return self._by_up_row.get(self.upper_bounds(mask))
 
     def inf_of(self, mask: int) -> Optional[int]:
         """Greatest lower bound of the set, or None. Dual to sup_of."""
-        lb = self.lower_bounds(mask)
-        for i in bit_indices(lb):
-            if self.down[i] & lb == lb:
-                return i
-        return None
+        return self._by_down_row.get(self.lower_bounds(mask))
 
     # -- derived posets ----------------------------------------------------
 
@@ -281,24 +288,6 @@ class Poset:
         """All covering pairs (i, j) with j covering i, index order."""
         return [(i, j) for i in range(self.n) for j in bit_indices(self.covers_up[i])]
 
-    def is_lower_set(self, mask: int) -> bool:
-        for i in bit_indices(mask):
-            if self.down[i] & ~mask:
-                return False
-        return True
-
-    def lower_closure(self, mask: int) -> int:
-        out = 0
-        for i in bit_indices(mask):
-            out |= self.down[i]
-        return out
-
-    def minimal_mask(self) -> int:
-        return mask_of(i for i in range(self.n) if self.strict_down(i) == 0)
-
-    def maximal_mask(self) -> int:
-        return mask_of(i for i in range(self.n) if self.strict_up(i) == 0)
-
     def subset(self, labels: Iterable[str]) -> int:
         """The mask of the named elements; UnknownLabel on a bad name."""
         return mask_of(self.index(lab) for lab in labels)
@@ -320,17 +309,15 @@ def antichain(n: int, prefix: str = "u") -> Poset:
 # -- isomorphism search ----------------------------------------------------
 
 
-def refined_invariants(
-    up: Sequence[int], down: Sequence[int], rounds: int = 2
-) -> list:
-    """Per-element order invariants, refined by neighborhood multisets.
+def refined_invariants(up: Sequence[int], down: Sequence[int]) -> list:
+    """Per-element order invariants, refined twice by neighborhood multisets.
 
     Comparable nested tuples, identical across isomorphic posets; used to
     prune isomorphism search and to order canonical-form classes.
     """
     n = len(up)
     inv: list = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
-    for _ in range(rounds):
+    for _ in range(2):
         inv = [
             (
                 inv[i],

@@ -205,6 +205,23 @@ def test_classify_rejects_non_extension():
         classify(c2, c2.subset(["u1"]), c2.index("u2"))
 
 
+@pytest.mark.parametrize("mask", [-1, 1 << 2, 1 << 5 | 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        detects,
+        is_germ_extension,
+        lambda p, m: lambda_witness(p, m, 0),
+        lambda p, m: germ_cut_witness(p, m, 0),
+        lambda p, m: classify(p, m, 0),
+    ],
+    ids=["detects", "is_germ_extension", "lambda_witness", "germ_cut_witness", "classify"],
+)
+def test_foreign_masks_raise(call, mask):
+    with pytest.raises(ValueError):
+        call(chain(2), mask)
+
+
 def test_witnesses_are_exclusive_on_extensions(vee, wedge):
     for s, base in [(vee, ["a", "b"]), (wedge, ["a", "b"]), (chain(3), ["u2", "u3"])]:
         u = s.subset(base)

@@ -3,8 +3,8 @@ a green run over a small corpus."""
 
 from germclosure import CorpusSpec, PredicateReport, germ_closure, run_suite
 from germclosure.harness import (
+    PAIR_LIMIT,
     PREDICATES,
-    Context,
     _count_base_fixing_embeddings,
     describe_poset,
 )
@@ -81,8 +81,7 @@ def test_describe_poset_is_replayable():
 
 
 def test_context_defaults():
-    ctx = Context([chain(2)], [])
-    assert ctx.pair_limit == 4
+    assert PAIR_LIMIT == 4
 
 
 def test_base_fixing_embeddings_none_and_capped():

@@ -95,16 +95,21 @@ def test_interval_endpoint_kinds_take_single_argument():
         c.interval("(u,v)", 0, 2)
 
 
+def _check_sup_inf_by_scan(p):
+    """sup_of and inf_of against a scan of the upper (lower) bounds for
+    one bounding all the others."""
+    for mask in range(1 << p.n):
+        ub = p.upper_bounds(mask)
+        sup = next((c for c in bit_indices(ub) if ub & ~p.up[c] == 0), None)
+        assert p.sup_of(mask) == sup
+        lb = p.lower_bounds(mask)
+        inf = next((c for c in bit_indices(lb) if lb & ~p.down[c] == 0), None)
+        assert p.inf_of(mask) == inf
+
+
 def test_sup_inf_against_bound_scan(vee, npos):
     for p in (vee, npos, chain(4), antichain(3)):
-        for mask in range(1 << p.n):
-            ub = p.upper_bounds(mask)
-            expect = None
-            for cand in bit_indices(ub):
-                if ub & ~p.up[cand] == 0:
-                    expect = cand
-                    break
-            assert p.sup_of(mask) == expect
+        _check_sup_inf_by_scan(p)
     a, b = vee.index("a"), vee.index("b")
     assert vee.sup_of(mask_of([a, b])) == vee.index("c")
     assert vee.inf_of(mask_of([a, b])) is None
@@ -129,15 +134,6 @@ def test_covers_are_transitive_reduction():
     assert c.cover_pairs() == [(0, 1), (1, 2), (2, 3)]
     v = Poset.from_relations(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert v.cover_pairs() == [(0, 1), (1, 2)]
-
-
-def test_lower_sets(vee):
-    a, b, c = (vee.index(x) for x in "abc")
-    assert vee.is_lower_set(mask_of([a, b]))
-    assert not vee.is_lower_set(mask_of([c]))
-    assert vee.lower_closure(mask_of([c])) == vee.full_mask
-    assert vee.minimal_mask() == mask_of([a, b])
-    assert vee.maximal_mask() == mask_of([c])
 
 
 def test_subset_is_a_mask(vee):
@@ -252,6 +248,11 @@ def test_from_relations_yields_partial_order(data):
             for k in range(p.n):
                 if p.leq(i, j) and p.leq(j, k):
                     assert p.leq(i, k)
+
+
+@given(random_dags(max_n=9))
+def test_sup_inf_of_random_posets_against_bound_scan(data):
+    _check_sup_inf_by_scan(Poset.from_relations(*data))
 
 
 @given(random_dags())
