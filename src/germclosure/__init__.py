@@ -13,6 +13,7 @@ from .closure import (
     GermClosure,
     aut_transport,
     canonical_embed,
+    closure_masks,
     germ_closure,
     ghat_sets,
     lambda_sets,
@@ -38,7 +39,6 @@ from .embed import (
     g_t,
     ghat_t,
     is_germ_extensible,
-    nu,
     unique_base,
     verify_partition,
 )
@@ -69,6 +69,7 @@ from .germs import (
     classify,
     cogerm_candidates,
     detects,
+    germs_within,
     grm,
     grm_mask,
     is_germ,

@@ -114,7 +114,7 @@ def cmd_extensible(args) -> int:
     res = is_germ_extensible(t, _subset_mask(p, args.subset))
     verdict = "extensible" if res.extensible else "not extensible"
     print(f"U = {set_label(p, res.subset)} inside {doc.name}: {verdict}")
-    print(f"closure size: {res.closure.n}")
+    print(f"closure size: {len(res.masks)}")
     if res.extensible:
         print(f"G-bar: {set_label(p, res.g_bar)}")
     else:

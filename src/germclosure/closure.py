@@ -13,28 +13,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .errors import NotAGermExtension
-from .germs import GermCutCase, GermRecord, LambdaCase, grm, grm_mask, is_germ_extension
+from .germs import (
+    ElementCase, GermCutCase, GermRecord, LambdaCase, germs_within, grm, grm_mask, is_germ_extension,
+)
 from .lattice import Lattice
-from .poset import Poset, bit_indices, inclusion_poset, isomorphisms, mask_of, sorted_by_size
+from .poset import (
+    Poset, bit_indices, inclusion_poset, intersect_rows, isomorphisms, mask_of, sorted_by_size,
+)
+
+
+def _cuts(down: Sequence[int], u_mask: int) -> set[int]:
+    """The cuts U_{<=B} of U = u_mask under the ambient down rows: U and
+    every intersection of the rows down[i] & U, i in U."""
+    sets = {u_mask}
+    for i in bit_indices(u_mask):
+        row = down[i] & u_mask
+        sets.update([m & row for m in sets])
+    return sets
 
 
 def lambda_sets(u: Poset) -> list[int]:
     """All cuts U_{<=B}, B over subsets of u, as masks sorted by
-    (cardinality, bitmask). Computed as the intersection closure of the
-    principal lower sets together with u itself."""
-    sets = {u.full_mask}
-    sets.update(u.down[i] for i in range(u.n))
-    work = list(sets)
-    while work:
-        a = work.pop()
-        for b in list(sets):
-            c = a & b
-            if c not in sets:
-                sets.add(c)
-                work.append(c)
-    return sorted_by_size(sets)
+    (cardinality, bitmask)."""
+    return sorted_by_size(_cuts(u.down, u.full_mask))
 
 
 def ghat_sets(u: Poset) -> list[tuple[int, GermRecord]]:
@@ -46,25 +50,49 @@ def ghat_sets(u: Poset) -> list[tuple[int, GermRecord]]:
     return [(u.strict_down(rec.germ), rec) for rec in grm(u)]
 
 
+def closure_masks(
+    up: Sequence[int], down: Sequence[int], u_mask: int
+) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
+    """G(U) for U = u_mask under the ambient rows, in ambient indices: the
+    member masks sorted by (cardinality, bitmask) and each one's case,
+    LambdaCase with the largest cutting witness or GermCutCase with the germ."""
+    cuts = _cuts(down, u_mask)
+    case_of: dict[int, ElementCase] = {m: LambdaCase(intersect_rows(up, m, u_mask)) for m in cuts}
+    for r, _ in germs_within(up, down, u_mask):
+        cut = down[r] & u_mask & ~(1 << r)
+        assert cut not in cuts, "cut families overlap"
+        assert cut not in case_of, "two germs share a strict lower cut"
+        case_of[cut] = GermCutCase(r)
+    masks = tuple(sorted_by_size(case_of))
+    return masks, tuple(case_of[m] for m in masks)
+
+
 @dataclass(frozen=True)
 class GermClosure:
-    """G(u): a poset of lower sets of the base, inclusion ordered.
+    """G(u): a family of lower sets of the base, inclusion ordered.
 
     masks[i] is the subset element i stands for; cases[i] says which
     family it came from (LambdaCase with the largest cutting witness, or
-    GermCutCase with the germ); embed[k] is the element ]*,k] the base
-    element k maps to.
+    GermCutCase with the germ). The views below are built on first use.
     """
 
     base: Poset
-    poset: Poset
     masks: tuple[int, ...]
-    cases: tuple[LambdaCase | GermCutCase, ...]
-    embed: tuple[int, ...]
+    cases: tuple[ElementCase, ...]
 
     @property
     def n(self) -> int:
-        return self.poset.n
+        return len(self.masks)
+
+    @cached_property
+    def poset(self) -> Poset:
+        """The set-labelled inclusion order; element i stands for masks[i]."""
+        return inclusion_poset(self.base, self.masks)
+
+    @cached_property
+    def embed(self) -> tuple[int, ...]:
+        """embed[k] is the element ]*,k] that base element k maps to."""
+        return tuple(map(self.index_of, self.base.down))
 
     def index_of(self, mask: int) -> int:
         return self._by_mask[mask]
@@ -89,25 +117,7 @@ class GermClosure:
 
 
 def germ_closure(u: Poset) -> GermClosure:
-    lam = lambda_sets(u)
-    ghat = ghat_sets(u)
-    lam_set = set(lam)
-    assert not lam_set.intersection(m for m, _ in ghat), "cut families overlap"
-    by_mask: dict[int, GermRecord] = {}
-    for m, rec in ghat:
-        assert m not in by_mask, "two germs share a strict lower cut"
-        by_mask[m] = rec
-    masks = sorted_by_size(lam + list(by_mask))
-    cases: list[LambdaCase | GermCutCase] = []
-    for m in masks:
-        if m in lam_set:
-            cases.append(LambdaCase(u.upper_bounds(m)))
-        else:
-            cases.append(GermCutCase(by_mask[m].germ))
-    poset = inclusion_poset(u, masks)
-    index = {m: i for i, m in enumerate(masks)}
-    embed = tuple(index[u.down[i]] for i in range(u.n))
-    return GermClosure(u, poset, tuple(masks), tuple(cases), embed)
+    return GermClosure(u, *closure_masks(u.up, u.down, u.full_mask))
 
 
 def canonical_embed(
@@ -158,8 +168,7 @@ def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
     """
     t_poset = t.poset
     u_mask = t_poset.full_mask & ~grm_mask(t_poset)
-    sub = t_poset.full_subposet(u_mask)
-    closure = germ_closure(sub)
+    closure = germ_closure(t_poset.full_subposet(u_mask))
     j = canonical_embed(closure, t_poset, inclusion=t_poset.sub_indices(u_mask))
     assert closure.n == t_poset.n, (
         f"closure has {closure.n} elements but the input has {t_poset.n}"

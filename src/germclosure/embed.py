@@ -12,11 +12,10 @@ extensible, which partitions the whole powerset of T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .closure import GermClosure, germ_closure
+from .closure import closure_masks
 from .errors import CapExceeded
-from .germs import GermCutCase, grm
+from .germs import GermCutCase, germs_within
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import bit_indices, check_subset, mask_of, sorted_by_size
 
@@ -26,21 +25,16 @@ PARTITION_SIZE_CAP = 12
 
 @dataclass(frozen=True)
 class EmbedResult:
-    """Germ extensibility of U = subset inside a lattice; g_bar is the
-    mask of Ḡ(U) when U is extensible and None otherwise."""
+    """Germ extensibility of U = subset inside a lattice. masks is G(U) in
+    the lattice's own indices, nu_image[i] is ν(masks[i]), and g_bar is
+    the mask of Ḡ(U) when U is extensible and None otherwise."""
 
     subset: int
     extensible: bool
-    closure: GermClosure
+    masks: tuple[int, ...]
     nu_image: tuple[int, ...]
     g_bar: int | None
     violating_germs: tuple[int, ...]
-
-
-def nu(t: Lattice, u_indices: Sequence[int], s_mask: int) -> int:
-    """Join in t of a closure element (a mask over positions of
-    u_indices). The empty set joins to the bottom."""
-    return t.join_mask(mask_of(u_indices[k] for k in bit_indices(s_mask)))
 
 
 def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
@@ -49,22 +43,21 @@ def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
     along. A germ r of U violates it when ν of its strict cut, the
     closure's GermCutCase element for r, is r itself."""
     check_subset(t.poset, u_mask)
-    keep = t.poset.sub_indices(u_mask)
-    closure = germ_closure(t.poset.full_subposet(u_mask))
-    nu_image = tuple(nu(t, keep, m) for m in closure.masks)
+    masks, cases = closure_masks(t.poset.up, t.poset.down, u_mask)
+    nu_image = tuple(map(t.join_mask, masks))
     violating = tuple(sorted(
-        keep[case.germ]
-        for case, x in zip(closure.cases, nu_image)
-        if isinstance(case, GermCutCase) and x == keep[case.germ]
+        case.germ
+        for case, x in zip(cases, nu_image)
+        if isinstance(case, GermCutCase) and x == case.germ
     ))
     extensible = not violating
     g_bar = None
     if extensible:
-        assert len(set(nu_image)) == closure.n, (
+        assert len(set(nu_image)) == len(masks), (
             "the join criterion holds but ν identifies two closure elements"
         )
         g_bar = mask_of(nu_image)
-    return EmbedResult(u_mask, extensible, closure, nu_image, g_bar, violating)
+    return EmbedResult(u_mask, extensible, masks, nu_image, g_bar, violating)
 
 
 def g_sharp(t: Lattice) -> int:
@@ -86,29 +79,39 @@ def g_t(t: Lattice) -> int:
     return lam | hat
 
 
-def alpha(t: Lattice, u_indices: Sequence[int], x: int) -> int:
-    """The irreducibles-below map: positions of u_indices under x."""
-    return mask_of(
-        k for k, e in enumerate(u_indices) if t.poset.leq(e, x)
-    )
+def alpha(t: Lattice, u_mask: int, x: int) -> int:
+    """The irreducibles-below map: the elements of U = u_mask under x."""
+    return u_mask & t.poset.down[x]
 
 
 def irr_closure_equals_g_t(t: Lattice) -> bool:
     """Whether E = Irr(t) is germ extensible with Ḡ(E) = G_t and the maps
     ν and α mutually inverse between G(E) and G_t."""
-    keep = t.poset.sub_indices(t.irr_mask)
-    res = is_germ_extensible(t, t.irr_mask)
-    if res.g_bar != g_t(t):
+    e = t.irr_mask
+    res = is_germ_extensible(t, e)
+    g = g_t(t)
+    if res.g_bar != g:
         return False
-    for i, m in enumerate(res.closure.masks):
-        if alpha(t, keep, res.nu_image[i]) != m:
-            return False
-    by_mask = {m: i for i, m in enumerate(res.closure.masks)}
-    for x in bit_indices(g_t(t)):
-        back = by_mask.get(alpha(t, keep, x))
-        if back is None or res.nu_image[back] != x:
-            return False
-    return True
+    if any(alpha(t, e, x) != m for m, x in zip(res.masks, res.nu_image)):
+        return False
+    nu_of = dict(zip(res.masks, res.nu_image))
+    return all(nu_of.get(alpha(t, e, x)) == x for x in bit_indices(g))
+
+
+def _base_result(t: Lattice, s_mask: int, bases: dict[int, EmbedResult]) -> EmbedResult:
+    """unique_base, reading and filling bases, a table from each base
+    mask to its extensibility result."""
+    up, down = t.poset.up, t.poset.down
+    u_mask = s_mask & ~mask_of(
+        r for r, _ in germs_within(up, down, s_mask)
+        if t.join_mask(s_mask & down[r] & ~(1 << r)) == r
+    )
+    res = bases.get(u_mask)
+    if res is None:
+        res = bases[u_mask] = is_germ_extensible(t, u_mask)
+        assert res.extensible, "the base produced by germ removal is not extensible"
+    assert s_mask & ~res.g_bar == 0, "S escapes the interval [U, Ḡ(U)]"
+    return res
 
 
 def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
@@ -116,18 +119,7 @@ def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     germ of S that equals the join of the S-elements below it. Returns
     is_germ_extensible(t, U), which carries U and Ḡ(U)."""
     check_subset(t.poset, s_mask)
-    sub = t.poset.full_subposet(s_mask)
-    keep = t.poset.sub_indices(s_mask)
-    drop = mask_of(
-        keep[rec.germ]
-        for rec in grm(sub)
-        if t.join_mask(s_mask & t.poset.strict_down(keep[rec.germ]))
-        == keep[rec.germ]
-    )
-    res = is_germ_extensible(t, s_mask & ~drop)
-    assert res.extensible, "the base produced by germ removal is not extensible"
-    assert s_mask & ~res.g_bar == 0, "S escapes the interval [U, Ḡ(U)]"
-    return res
+    return _base_result(t, s_mask, {})
 
 
 @dataclass(frozen=True)
@@ -139,24 +131,21 @@ class PartitionCell:
 
 def verify_partition(t: Lattice) -> list[PartitionCell]:
     """Group every subset of t by its unique base and check each group is
-    the full interval [U, Ḡ(U)], sized 2^(|Ḡ(U)|-|U|)."""
+    the full interval [U, Ḡ(U)], sized 2^(|Ḡ(U)|-|U|). Each base is
+    closed once, however many subsets share it."""
     n = t.n
     if n > PARTITION_SIZE_CAP:
         raise CapExceeded("partition ground set size", PARTITION_SIZE_CAP)
+    bases: dict[int, EmbedResult] = {}
     groups: dict[int, list[int]] = {}
-    tops: dict[int, int] = {}
     for s_mask in range(1 << n):
-        res = unique_base(t, s_mask)
+        res = _base_result(t, s_mask, bases)
         groups.setdefault(res.subset, []).append(s_mask)
-        tops[res.subset] = res.g_bar
     cells = []
     for u_mask in sorted_by_size(groups):
         members = groups[u_mask]
-        top = tops[u_mask]
-        for m in members:
-            assert u_mask & ~m == 0 and m & ~top == 0, (
-                "a subset strays outside its cell interval"
-            )
+        top = bases[u_mask].g_bar
+        # members are distinct and inside [U, Ḡ(U)], so the count decides fullness
         assert len(members) == 1 << (top.bit_count() - u_mask.bit_count()), (
             "a cell misses part of its interval"
         )

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import NotAGermExtension
-from .poset import Poset, bit_indices, check_subset, mask_of
+from .poset import Poset, bit_indices, check_subset, intersect_rows, mask_of
 
 
 @dataclass(frozen=True)
@@ -28,42 +29,68 @@ class GermRecord:
         return self.poset.labels[self.germ], self.poset.labels[self.cogerm]
 
 
-def cogerm_candidates(p: Poset, u: int) -> list[int]:
-    """All v making u a germ. The defining conditions force at most one;
-    callers may assert that."""
-    # u = sup ]*,u[ iff the bounds match u's row; sup_of would give every
-    # poset the grm cache keeps alive a row dict
-    if p.upper_bounds(p.strict_down(u)) != p.up[u]:
+def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) -> list[int]:
+    """All v making u a germ of the subposet on mask, whose order is the
+    ambient rows up/down restricted to mask; indices stay ambient. The
+    defining conditions force at most one v."""
+    up_u = up[u] & mask
+    below = down[u] & mask & ~(1 << u)
+    # u = sup ]*,u[ iff the bounds match u's row
+    if intersect_rows(up, below, mask) != up_u:
         return []
     out = []
-    for v in bit_indices(p.up[u]):
-        if p.lower_bounds(p.strict_up(v)) != p.down[v]:
+    for v in bit_indices(up_u):
+        down_v = down[v] & mask
+        above = up[v] & mask & ~(1 << v)
+        seg = up_u & down_v
+        # the two cone splits need no loop, so they rule out most v first
+        if up_u != seg | above or down_v != below | seg:
             continue
-        seg = p.up[u] & p.down[v]
-        if p.up[u] != seg | p.strict_up(v):
+        if intersect_rows(down, above, mask) != down_v:
             continue
-        if p.down[v] != p.strict_down(u) | seg:
-            continue
-        if any(seg & ~(p.up[i] | p.down[i]) for i in bit_indices(seg)):
+        if any(seg & ~(up[i] | down[i]) for i in bit_indices(seg)):
             continue
         out.append(v)
     return out
 
 
-def is_germ(p: Poset, u: int) -> GermRecord | None:
-    cands = cogerm_candidates(p, u)
-    assert len(cands) <= 1, f"germ {p.labels[u]} admits {len(cands)} cogerms"
-    if not cands:
-        return None
-    v = cands[0]
+def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """(germ, cogerm) for every germ of the subposet on mask, ascending
+    by germ, in ambient indices. No subposet is built."""
+    out = []
+    for u in bit_indices(mask):
+        cands = cogerms_within(up, down, mask, u)
+        assert len(cands) <= 1, f"germ {u} admits {len(cands)} cogerms"
+        if cands:
+            out.append((u, cands[0]))
+    return out
+
+
+def cogerm_candidates(p: Poset, u: int) -> list[int]:
+    """All v making u a germ. The defining conditions force at most one;
+    callers may assert that."""
+    return cogerms_within(p.up, p.down, p.full_mask, u)
+
+
+def _record(p: Poset, u: int, v: int) -> GermRecord:
     seg = sorted(bit_indices(p.up[u] & p.down[v]), key=lambda i: p.down[i].bit_count())
     return GermRecord(p, u, v, tuple(seg))
 
 
-@lru_cache(maxsize=None)
+def is_germ(p: Poset, u: int) -> GermRecord | None:
+    cands = cogerm_candidates(p, u)
+    assert len(cands) <= 1, f"germ {p.labels[u]} admits {len(cands)} cogerms"
+    return _record(p, u, cands[0]) if cands else None
+
+
+# grm keeps the posets it has seen alive; the bound caps that memory
+GRM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=GRM_CACHE_SIZE)
 def grm(p: Poset) -> tuple[GermRecord, ...]:
     """All germs of p with their cogerms and connecting chains."""
-    return tuple(r for u in range(p.n) if (r := is_germ(p, u)) is not None)
+    return tuple(_record(p, u, v) for u, v in germs_within(p.up, p.down, p.full_mask))
 
 
 def grm_mask(p: Poset) -> int:
@@ -119,10 +146,7 @@ def germ_cut_witness(p: Poset, u_mask: int, s: int) -> int | None:
     or None. Indices are ambient."""
     check_subset(p, u_mask)
     shadow = u_mask & p.down[s]
-    sub = p.full_subposet(u_mask)
-    keep = p.sub_indices(u_mask)
-    for rec in grm(sub):
-        r = keep[rec.germ]
+    for r, _ in germs_within(p.up, p.down, u_mask):
         if u_mask & p.strict_down(r) == shadow:
             return r
     return None

@@ -347,15 +347,16 @@ def _pred_nu_criterion(ctx: Context) -> Iterator[Result]:
         for u_mask in range(1 << t.n):
             res = is_germ_extensible(t, u_mask)
             inst = _describe_pair(t.poset, u_mask)
-            direct = len(set(res.nu_image)) == res.closure.n
+            size = len(res.masks)
+            direct = len(set(res.nu_image)) == size
             yield inst, res.extensible == direct, (
                 f"criterion says {res.extensible}, injectivity says {direct}"
             )
             monotone = all(
                 t.poset.leq(res.nu_image[i], res.nu_image[j])
-                for i in range(res.closure.n)
-                for j in range(res.closure.n)
-                if res.closure.masks[i] & ~res.closure.masks[j] == 0
+                for i in range(size)
+                for j in range(size)
+                if res.masks[i] & ~res.masks[j] == 0
             )
             if not monotone:
                 yield inst, False, "ν is not monotone"

@@ -11,6 +11,7 @@ strictly above, and r^∞ / σ^∞ iterate those to their fixpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotALattice
 from .poset import Poset, down_closed_masks, inclusion_poset, mask_of, sorted_by_size
@@ -29,15 +30,17 @@ class Lattice:
     def n(self) -> int:
         return self.poset.n
 
-    @property
+    # cached_property writes the instance __dict__ directly, so these
+    # work on the frozen dataclass
+    @cached_property
     def bottom(self) -> int:
         return self.join_mask(0)
 
-    @property
+    @cached_property
     def top(self) -> int:
         return self.meet_mask(0)
 
-    @property
+    @cached_property
     def irr_mask(self) -> int:
         """Join irreducibles: the elements covering exactly one element."""
         cd = self.poset.covers_down

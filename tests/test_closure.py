@@ -2,7 +2,7 @@
 reconstruction from lattices, automorphism transport."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from germclosure import (
     GermCutCase,
@@ -14,6 +14,7 @@ from germclosure import (
     aut_transport,
     canonical_embed,
     chain,
+    closure_masks,
     enumerate_posets,
     germ_closure,
     ghat_sets,
@@ -22,7 +23,7 @@ from germclosure import (
     lower_set_lattice,
     reconstruct_from_lattice,
 )
-from germclosure.poset import bit_indices, mask_of
+from germclosure.poset import bit_indices, inclusion_poset, mask_of
 from test_poset import random_dags
 
 
@@ -238,3 +239,44 @@ def test_closure_is_a_germ_extension_of_its_base():
             base = mask_of(clos.embed)
             assert is_germ_extension(clos.poset, base)
             assert detects(clos.poset, base)
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=9))
+def test_lambda_sets_are_the_cuts_of_every_subset(data):
+    """lambda_sets is exactly {U_{<=B} : B ⊆ U}, each cut taken directly
+    as the lower bounds of B."""
+    p = Poset.from_relations(*data)
+    cuts = {p.lower_bounds(b) for b in range(1 << p.n)}
+    assert lambda_sets(p) == sorted(cuts, key=lambda m: (m.bit_count(), m))
+
+
+def _lift(mask: int, keep: list[int]) -> int:
+    return mask_of(keep[k] for k in bit_indices(mask))
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=12), st.integers(min_value=0, max_value=(1 << 12) - 1))
+def test_closure_masks_match_closure_of_subposet(data, bits):
+    """The kernel on ambient rows restricted to a mask gives the closure
+    of the induced subposet, re-indexed: same members in the same order,
+    same cases with the same witnesses and germs."""
+    p = Poset.from_relations(*data)
+    mask = bits & p.full_mask
+    keep = p.sub_indices(mask)
+    clos = germ_closure(p.full_subposet(mask))
+    masks, cases = closure_masks(p.up, p.down, mask)
+    assert masks == tuple(_lift(m, keep) for m in clos.masks)
+    expected = [
+        LambdaCase(_lift(c.witness, keep)) if isinstance(c, LambdaCase)
+        else GermCutCase(keep[c.germ])
+        for c in clos.cases
+    ]
+    assert list(cases) == expected
+
+
+def test_closure_poset_is_built_on_first_use(npos):
+    clos = germ_closure(npos)
+    assert "poset" not in vars(clos)
+    assert clos.poset == inclusion_poset(npos, clos.masks)
+    assert "poset" in vars(clos)

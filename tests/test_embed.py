@@ -16,7 +16,6 @@ from germclosure import (
     ghat_t,
     is_germ_extensible,
     lower_set_lattice,
-    nu,
     unique_base,
     verify_partition,
 )
@@ -29,16 +28,17 @@ def labels_of(t: Lattice, mask: int) -> set[str]:
 
 def test_nu_joins_shadows(twelve):
     p = twelve.poset
-    keep = [p.index(x) for x in ("H", "I")]
-    assert nu(twelve, keep, 0b11) == p.index("M")
-    assert nu(twelve, keep, 0) == p.index("bot")
+    res = is_germ_extensible(twelve, p.subset(["H", "I"]))
+    nu_of = dict(zip(res.masks, res.nu_image))
+    assert nu_of[p.subset(["H", "I"])] == p.index("M")
+    assert nu_of[0] == p.index("bot")
 
 
 def test_irreducibles_of_twelve_are_extensible(twelve):
     res = is_germ_extensible(twelve, twelve.irr_mask)
     assert res.extensible
     assert res.violating_germs == ()
-    assert res.closure.n == 10
+    assert len(res.masks) == 10
     assert labels_of(twelve, res.g_bar) == {
         "bot", "H", "I", "M", "E", "F", "G", "A", "B", "top",
     }
@@ -76,10 +76,9 @@ def test_irr_closure_equals_g_t_on_examples(twelve):
 
 
 def test_alpha_inverts_nu_on_twelve(twelve):
-    keep = twelve.poset.sub_indices(twelve.irr_mask)
     res = is_germ_extensible(twelve, twelve.irr_mask)
-    for i, m in enumerate(res.closure.masks):
-        assert alpha(twelve, keep, res.nu_image[i]) == m
+    for i, m in enumerate(res.masks):
+        assert alpha(twelve, twelve.irr_mask, res.nu_image[i]) == m
 
 
 def test_unique_base_of_full_twelve(twelve):
@@ -152,7 +151,7 @@ def test_nu_not_injective_without_criterion():
     t = Lattice.from_poset(chain(2))
     res = is_germ_extensible(t, t.poset.subset(["u1"]))
     assert not res.extensible
-    assert len(set(res.nu_image)) < res.closure.n
+    assert len(set(res.nu_image)) < len(res.masks)
 
 
 def test_gbar_members_on_lower_set_lattice(npos):
@@ -167,3 +166,27 @@ def test_gbar_members_on_lower_set_lattice(npos):
     res = is_germ_extensible(lsl, principal)
     assert res.extensible
     assert res.g_bar.bit_count() == 6
+
+
+def test_partition_matches_brute_force_base_search():
+    """On every lattice of up to 6 elements, each subset S lies in
+    exactly one interval [U, Ḡ(U)] with U germ extensible, found by
+    searching all U ⊆ S, and verify_partition puts S in that cell."""
+    for n in range(1, 7):
+        for t in enumerate_lattices(n):
+            g_bar = {}
+            for u in range(1 << n):
+                res = is_germ_extensible(t, u)
+                if res.extensible:
+                    g_bar[u] = res.g_bar
+            expected = {}
+            for s in range(1 << n):
+                found = [u for u in g_bar if u & ~s == 0 and s & ~g_bar[u] == 0]
+                assert len(found) == 1
+                expected[s] = (found[0], g_bar[found[0]])
+            got = {
+                m: (cell.base_mask, cell.top_mask)
+                for cell in verify_partition(t)
+                for m in cell.members
+            }
+            assert got == expected

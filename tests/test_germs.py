@@ -2,6 +2,7 @@
 extension predicates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germclosure import (
     GermCutCase,
@@ -14,6 +15,7 @@ from germclosure import (
     cogerm_candidates,
     detects,
     enumerate_posets,
+    germs_within,
     grm,
     grm_mask,
     is_germ,
@@ -21,6 +23,7 @@ from germclosure import (
 )
 from germclosure.germs import germ_cut_witness, lambda_witness
 from germclosure.poset import bit_indices, mask_of
+from test_poset import random_dags
 
 
 def corpus_posets(max_n=5):
@@ -237,3 +240,19 @@ def test_grm_mask_agrees_with_records(npos, vee):
     assert grm_mask(vee) == mask_of([vee.index("c")])
     for p in corpus_posets(3):
         assert grm_mask(p) == mask_of(r.germ for r in grm(p))
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=12), st.integers(min_value=0, max_value=(1 << 12) - 1))
+def test_germs_within_matches_grm_of_subposet(data, bits):
+    """The masked germ finder on ambient rows agrees with grm of the
+    induced subposet, mapped back to ambient indices."""
+    p = Poset.from_relations(*data)
+    mask = bits & p.full_mask
+    keep = p.sub_indices(mask)
+    expected = [(keep[r.germ], keep[r.cogerm]) for r in grm(p.full_subposet(mask))]
+    assert germs_within(p.up, p.down, mask) == expected
+
+
+def test_grm_cache_is_bounded():
+    assert grm.cache_info().maxsize is not None

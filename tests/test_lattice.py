@@ -155,3 +155,16 @@ def test_irreducibles_of_lower_set_lattice_recover_the_poset(npos, vee):
         from germclosure import isomorphisms
 
         assert isomorphisms(e, p, limit=1)
+
+
+def test_cached_bottom_top_and_irreducibles_match_recomputation():
+    """bottom, top and irr_mask are cached per lattice; on every lattice
+    of up to 8 elements they equal a fresh computation from the order."""
+    for t in corpus_lattices(8):
+        p = t.poset
+        irr = mask_of(i for i in range(t.n) if p.covers_down[i].bit_count() == 1)
+        for _ in range(2):
+            assert t.bottom == p.inf_of(p.full_mask)
+            assert t.top == p.sup_of(p.full_mask)
+            assert t.irr_mask == irr
+        assert {"bottom", "top", "irr_mask"} <= set(vars(t))
