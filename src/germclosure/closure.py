@@ -169,7 +169,7 @@ def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
     t_poset = t.poset
     u_mask = t_poset.full_mask & ~grm_mask(t_poset)
     closure = germ_closure(t_poset.full_subposet(u_mask))
-    j = canonical_embed(closure, t_poset, inclusion=t_poset.sub_indices(u_mask))
+    j = canonical_embed(closure, t_poset, inclusion=list(bit_indices(u_mask)))
     assert closure.n == t_poset.n, (
         f"closure has {closure.n} elements but the input has {t_poset.n}"
     )

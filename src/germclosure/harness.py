@@ -170,7 +170,7 @@ def _pred_intermediate_extension(ctx: Context) -> Iterator[Result]:
         for pick in range(1 << len(sub_bits)):
             r_mask = u_mask | mask_of(sub_bits[k] for k in bit_indices(pick))
             sub = s.full_subposet(r_mask)
-            keep = s.sub_indices(r_mask)
+            keep = list(bit_indices(r_mask))
             ok = is_germ_extension(sub, _compress(u_mask, keep))
             yield (
                 f"{_describe_pair(s, u_mask)}; R={{{','.join(s.labels[i] for i in bit_indices(r_mask))}}}",
@@ -192,7 +192,7 @@ def _pred_universal_property(ctx: Context) -> Iterator[Result]:
     """A germ extension embeds into the closure of its base by
     s -> U_{<=s}, and no other base-fixing embedding exists."""
     for s, u_mask in _extension_pairs(ctx):
-        inclusion = s.sub_indices(u_mask)
+        inclusion = list(bit_indices(u_mask))
         sub = s.full_subposet(u_mask)
         clos = germ_closure(sub)
         inst = _describe_pair(s, u_mask)
@@ -246,10 +246,10 @@ def _pred_closure_lattice(ctx: Context) -> Iterator[Result]:
                 ):
                     ok, detail = False, "incomparable meet outside the cut family"
                     break
-                if lat.meet[i][j] != clos.index_of(inter):
+                if lat.meet(i, j) != clos.index_of(inter):
                     ok, detail = False, "lattice meet is not intersection"
                     break
-                if lat.join[i][j] != clos.join(i, j):
+                if lat.join(i, j) != clos.join(i, j):
                     ok, detail = False, "joins disagree with least upper cover"
                     break
             if not ok:
@@ -264,7 +264,7 @@ def _pred_germ_transfer(ctx: Context) -> Iterator[Result]:
     above an ambient germ outside the base with that cogerm."""
     for s, u_mask in _extension_pairs(ctx):
         sub = s.full_subposet(u_mask)
-        keep = s.sub_indices(u_mask)
+        keep = list(bit_indices(u_mask))
         inst = _describe_pair(s, u_mask)
         sub_germs = grm_mask(sub)
         for rec in grm(s):

@@ -1,6 +1,7 @@
 """Finite lattices and the irreducible-driven operators on them.
 
-A Lattice wraps a Poset with tabulated binary joins and meets. The
+A Lattice is a Poset checked to have a join and a meet for every pair
+of elements; joins and meets of any set are row lookups on it. The
 operators ΛE, r and σ are all phrased through E, the set of join
 irreducibles (elements covering exactly one element; the bottom never
 qualifies): ΛE keeps the elements that are meets of irreducibles above
@@ -19,11 +20,11 @@ from .poset import Poset, down_closed_masks, inclusion_poset, mask_of, sorted_by
 
 @dataclass(frozen=True)
 class Lattice:
+    """A bounded poset in which every pair has a join and a meet; build
+    one with from_poset, which checks exactly that."""
+
     poset: Poset
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
     # set when the elements are subsets of a base poset (lower-set lattices)
-    base: Poset | None = field(default=None, compare=False)
     element_masks: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
@@ -54,35 +55,31 @@ class Lattice:
         """Meet of a set of elements; empty meet is the top."""
         return self.poset.inf_of(mask)
 
+    def join(self, i: int, j: int) -> int:
+        """Join of elements i and j."""
+        return self.poset.sup_of(1 << i | 1 << j)
+
+    def meet(self, i: int, j: int) -> int:
+        """Meet of elements i and j."""
+        return self.poset.inf_of(1 << i | 1 << j)
+
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":
-        """Tabulate all binary joins and meets, or raise NotALattice naming
-        the first offending pair."""
-        n = p.n
-        if n == 0:
+        """Check that every pair of indices i <= j has a join, then a meet,
+        or raise NotALattice naming the first pair that fails."""
+        if p.n == 0:
             raise NotALattice("an empty poset has no greatest or smallest element")
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                pair = 1 << i | 1 << j
-                s = p.sup_of(pair)
-                if s is None:
-                    raise NotALattice(
-                        f"{p.labels[i]} and {p.labels[j]} have no join",
-                        pair=(p.labels[i], p.labels[j]),
-                        which="join",
-                    )
-                m = p.inf_of(pair)
-                if m is None:
-                    raise NotALattice(
-                        f"{p.labels[i]} and {p.labels[j]} have no meet",
-                        pair=(p.labels[i], p.labels[j]),
-                        which="meet",
-                    )
-                join[i][j] = join[j][i] = s
-                meet[i][j] = meet[j][i] = m
-        return cls(p, tuple(map(tuple, join)), tuple(map(tuple, meet)))
+        # i and j have a join exactly when their common upper bounds
+        # up[i] & up[j] form some element's up-row; dually for the meet
+        up, down, up_rows, down_rows = p.up, p.down, p._by_up_row, p._by_down_row
+        for i in range(p.n):
+            for j in range(i, p.n):
+                if up[i] & up[j] in up_rows and down[i] & down[j] in down_rows:
+                    continue
+                which = "join" if up[i] & up[j] not in up_rows else "meet"
+                a, b = p.labels[i], p.labels[j]
+                raise NotALattice(f"{a} and {b} have no {which}", pair=(a, b), which=which)
+        return cls(p)
 
 
 DEFAULT_LOWER_SET_CAP = 1 << 20
@@ -95,8 +92,8 @@ def lower_set_lattice(u: Poset, cap: int = DEFAULT_LOWER_SET_CAP) -> Lattice:
     notation; element_masks records the subset each element stands for.
     """
     masks = sorted_by_size(down_closed_masks(u.down, cap))
-    got = Lattice.from_poset(inclusion_poset(u, masks))
-    return Lattice(got.poset, got.join, got.meet, base=u, element_masks=tuple(masks))
+    poset = Lattice.from_poset(inclusion_poset(u, masks)).poset
+    return Lattice(poset, element_masks=tuple(masks))
 
 
 def join_irreducibles(t: Lattice) -> Poset:

@@ -79,10 +79,13 @@ def set_label(p: "Poset", mask: int) -> str:
 def inclusion_poset(p: "Poset", masks: Sequence[int]) -> "Poset":
     """The subsets masks of p ordered by inclusion, labelled in set
     notation; element k stands for masks[k]."""
-    up = [
-        mask_of(k for k, other in enumerate(masks) if m & ~other == 0)
-        for m in masks
-    ]
+    # holders[e]: the members containing e; m's up-row intersects them over m
+    holders = [0] * p.n
+    for k, m in enumerate(masks):
+        for e in bit_indices(m):
+            holders[e] |= 1 << k
+    every = (1 << len(masks)) - 1
+    up = [intersect_rows(holders, m, every) for m in masks]
     return Poset([set_label(p, m) for m in masks], up)
 
 
@@ -250,7 +253,7 @@ class Poset:
         """The induced order on the elements of mask, labels kept.
 
         Element k of the result is the k-th set bit of mask, so the parent
-        indices are recoverable as sub_indices(mask).
+        indices are recoverable as list(bit_indices(mask)).
         """
         keep = list(bit_indices(mask))
         pos = {p: k for k, p in enumerate(keep)}
@@ -261,9 +264,6 @@ class Poset:
                 m |= 1 << pos[q]
             up.append(m)
         return Poset([self.labels[p] for p in keep], up)
-
-    def sub_indices(self, mask: int) -> list[int]:
-        return list(bit_indices(mask))
 
     # -- structure ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Lattice structure: join/meet tables, irreducibles, the r and sigma
-operators, lower-set lattices."""
+"""Lattice structure: the lattice check against a brute-force bound
+scan, joins and meets, irreducibles, the r and sigma operators,
+lower-set lattices."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from germclosure import (
     chain,
     enumerate_lattices,
     join_irreducibles,
+    labelled_posets_by_extension,
     lambda_e,
     lower_set_lattice,
     r_inf,
@@ -35,13 +37,47 @@ def brute_join(p: Poset, i: int, j: int):
     return None
 
 
-def test_from_poset_tables_match_brute_force():
-    for t in corpus_lattices():
-        p = t.poset
+def brute_first_missing_bound(p: Poset):
+    """(pair, which) for the first pair i <= j in index order that has no
+    join, or else no meet, by a scan of its bounds; None for a lattice.
+    The empty poset has neither bound of the empty set: (None, None)."""
+    if p.n == 0:
+        return None, None
+    op = p.opposite()
+    for i in range(p.n):
+        for j in range(i, p.n):
+            for which, q in (("join", p), ("meet", op)):
+                if brute_join(q, i, j) is None:
+                    return (p.labels[i], p.labels[j]), which
+    return None
+
+
+def test_from_poset_accepts_exactly_the_lattices():
+    """Over every labelled poset on up to 5 points, from_poset accepts the
+    posets the brute-force scan calls lattices, and otherwise names the
+    scan's first failing pair and bound."""
+    for n in range(6):
+        labels = [f"e{i}" for i in range(n)]
+        for rows in labelled_posets_by_extension(n):
+            p = Poset(labels, rows)
+            expected = brute_first_missing_bound(p)
+            try:
+                t = Lattice.from_poset(p)
+            except NotALattice as e:
+                assert (e.pair, e.which) == expected
+                if n:
+                    assert str(e) == f"{e.pair[0]} and {e.pair[1]} have no {e.which}"
+            else:
+                assert expected is None and t.poset is p
+
+
+def test_join_meet_match_brute_force():
+    for t in corpus_lattices(8):
+        p, op = t.poset, t.poset.opposite()
         for i in range(t.n):
             for j in range(t.n):
-                assert t.join[i][j] == brute_join(p, i, j)
-                assert t.meet[i][j] == brute_join(p.opposite(), i, j)
+                assert t.join(i, j) == brute_join(p, i, j)
+                assert t.meet(i, j) == brute_join(op, i, j)
 
 
 def test_not_a_lattice_reports_offending_pair(vee):
@@ -107,7 +143,6 @@ def test_operators_are_monotone_shifts():
 def test_lower_set_lattice_of_vee(vee):
     lsl = lower_set_lattice(vee)
     assert lsl.n == 5
-    assert lsl.base == vee
     assert sorted(m.bit_count() for m in lsl.element_masks) == [0, 1, 1, 2, 3]
     assert lsl.poset.labels[lsl.bottom] == "{}"
     assert lsl.poset.labels[lsl.top] == "{a,b,c}"
@@ -126,8 +161,8 @@ def test_lower_set_lattice_join_is_union(npos):
     by_mask = {m: i for i, m in enumerate(masks)}
     for i in range(lsl.n):
         for j in range(lsl.n):
-            assert lsl.join[i][j] == by_mask[masks[i] | masks[j]]
-            assert lsl.meet[i][j] == by_mask[masks[i] & masks[j]]
+            assert lsl.join(i, j) == by_mask[masks[i] | masks[j]]
+            assert lsl.meet(i, j) == by_mask[masks[i] & masks[j]]
 
 
 SMALL_LATTICES = [t for n in range(6) for t in enumerate_lattices(n)]
@@ -139,12 +174,12 @@ def test_lattice_laws(data):
     x = data.draw(st.integers(0, t.n - 1))
     y = data.draw(st.integers(0, t.n - 1))
     z = data.draw(st.integers(0, t.n - 1))
-    assert t.join[x][y] == t.join[y][x]
-    assert t.meet[x][y] == t.meet[y][x]
-    assert t.join[x][t.meet[x][y]] == x
-    assert t.meet[x][t.join[x][y]] == x
-    assert t.join[x][t.join[y][z]] == t.join[t.join[x][y]][z]
-    assert t.meet[x][t.meet[y][z]] == t.meet[t.meet[x][y]][z]
+    assert t.join(x, y) == t.join(y, x)
+    assert t.meet(x, y) == t.meet(y, x)
+    assert t.join(x, t.meet(x, y)) == x
+    assert t.meet(x, t.join(x, y)) == x
+    assert t.join(x, t.join(y, z)) == t.join(t.join(x, y), z)
+    assert t.meet(x, t.meet(y, z)) == t.meet(t.meet(x, y), z)
 
 
 def test_irreducibles_of_lower_set_lattice_recover_the_poset(npos, vee):

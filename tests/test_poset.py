@@ -23,6 +23,7 @@ from germclosure.poset import (
     bit_indices,
     down_closed_masks,
     embeddings,
+    inclusion_poset,
     mask_of,
     set_label,
 )
@@ -126,7 +127,7 @@ def test_full_subposet_keeps_order(npos):
     sub = npos.full_subposet(mask_of([npos.index("z"), npos.index("x")]))
     assert sub.labels == ("x", "z")
     assert sub.leq(sub.index("z"), sub.index("x"))
-    assert npos.sub_indices(npos.full_mask) == [0, 1, 2, 3]
+    assert list(bit_indices(npos.full_mask)) == [0, 1, 2, 3]
 
 
 def test_covers_are_transitive_reduction():
@@ -264,3 +265,17 @@ def test_upper_bounds_matches_definition(data):
         for x in range(p.n):
             expected = all(p.leq(i, x) for i in bit_indices(mask))
             assert bool(ub >> x & 1) == expected
+
+
+@given(random_dags(max_n=9), st.lists(st.integers(0, (1 << 9) - 1), max_size=24))
+def test_inclusion_poset_matches_pairwise_scan(data, bits):
+    """The up-rows built from holder rows are the pairwise subset scan,
+    also for the empty family and for families containing the empty set."""
+    p = Poset.from_relations(*data)
+    family = list(dict.fromkeys(b & p.full_mask for b in bits))
+    for masks in (family, [], [0] + [m for m in family if m]):
+        expected = [
+            mask_of(k for k, other in enumerate(masks) if m & ~other == 0)
+            for m in masks
+        ]
+        assert list(inclusion_poset(p, masks).up) == expected
