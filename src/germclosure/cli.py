@@ -23,7 +23,7 @@ from .documents import (
     to_poset,
 )
 from .dot import to_dot
-from .embed import ghat_t, is_germ_extensible, unique_base, verify_partition
+from .embed import g_sharp, is_germ_extensible, unique_base, verify_partition
 from .enumeration import CorpusSpec
 from .errors import CapExceeded, DocumentSyntaxError, PosetError
 from .germs import GermCutCase, LambdaCase, grm
@@ -94,7 +94,7 @@ def cmd_gt(args) -> int:
     doc, p = _load(args)
     t = Lattice.from_poset(p)
     lam = lambda_e(t)
-    hat = ghat_t(t)
+    hat = g_sharp(t) & ~lam
     members = lam | hat
     print(f"G_T of {doc.name}: {members.bit_count()} of {t.n} elements")
     for x in range(t.n):

@@ -136,24 +136,29 @@ def canonical_embed(
         raise ValueError("inclusion is not injective on the base")
     if any(not 0 <= k < s.n for k in inclusion):
         raise ValueError("inclusion points outside the ambient poset")
-    for i in range(base.n):
-        for k in range(base.n):
-            if base.leq(i, k) != s.leq(inclusion[i], inclusion[k]):
-                raise ValueError("inclusion is not a full-subposet embedding")
+    # inc_up[k]: the elements of s above base element k. Transposing it
+    # (the loop of Poset.__init__) gives every shadow U_{<=t} at once.
+    inc_up = [s.up[k] for k in inclusion]
+    shadow = [0] * s.n
+    for k, row in enumerate(inc_up):
+        while row:
+            low = row & -row
+            shadow[low.bit_length() - 1] |= 1 << k
+            row ^= low
+    # i <= k in the base iff inclusion[i] <= inclusion[k] in s, for all i, k
+    if any(shadow[e] != row for e, row in zip(inclusion, base.down)):
+        raise ValueError("inclusion is not a full-subposet embedding")
     if not is_germ_extension(s, mask_of(inclusion)):
         raise NotAGermExtension(
             "the ambient poset does not germ-extend the embedded base"
         )
-    j = []
-    for t in range(s.n):
-        shadow = mask_of(k for k in range(base.n) if s.leq(inclusion[k], t))
-        j.append(closure.index_of(shadow))
+    j = [closure.index_of(m) for m in shadow]
     assert len(set(j)) == s.n, "canonical embedding is not injective"
-    for t1 in range(s.n):
-        for t2 in range(s.n):
-            assert s.leq(t1, t2) == (
-                closure.masks[j[t1]] & ~closure.masks[j[t2]] == 0
-            ), "canonical embedding does not preserve the order both ways"
+    # shadow[t] ⊆ shadow[t2] exactly for the t2 above every base element
+    # under t, so t <= t2 iff the shadows nest when those t2 are s.up[t]
+    assert all(
+        intersect_rows(inc_up, m, s.full_mask) == row for m, row in zip(shadow, s.up)
+    ), "canonical embedding does not preserve the order both ways"
     for k in range(base.n):
         assert j[inclusion[k]] == closure.embed[k], "embedding moves the base"
     return j

@@ -74,7 +74,7 @@ def ghat_t(t: Lattice) -> int:
 def g_t(t: Lattice) -> int:
     """G_T = ΛE together with Ĝ_T; the two parts never meet."""
     lam = lambda_e(t)
-    hat = ghat_t(t)
+    hat = g_sharp(t) & ~lam
     assert lam & hat == 0
     return lam | hat
 

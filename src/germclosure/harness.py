@@ -20,7 +20,7 @@ from .closure import (
     lambda_sets,
     reconstruct_from_lattice,
 )
-from .embed import irr_closure_equals_g_t, ghat_t, is_germ_extensible, unique_base, verify_partition
+from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, unique_base, verify_partition
 from .enumeration import CorpusSpec, corpus
 from .germs import (
     LambdaCase,
@@ -391,8 +391,9 @@ def _pred_closure_vs_lowerset(ctx: Context) -> Iterator[Result]:
     for p in ctx.posets:
         lsl = lower_set_lattice(p)
         masks = lsl.element_masks
-        lam_t = {masks[i] for i in bit_indices(lambda_e(lsl))}
-        ghat_via_t = {masks[i] for i in bit_indices(ghat_t(lsl))}
+        lam = lambda_e(lsl)
+        lam_t = {masks[i] for i in bit_indices(lam)}
+        ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
         lam_u = set(lambda_sets(p))
         ghat_u = {m for m, _ in ghat_sets(p)}
         ok = lam_t == lam_u and ghat_via_t == ghat_u

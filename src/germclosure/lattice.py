@@ -6,7 +6,9 @@ operators ΛE, r and σ are all phrased through E, the set of join
 irreducibles (elements covering exactly one element; the bottom never
 qualifies): ΛE keeps the elements that are meets of irreducibles above
 them, r(t) joins the irreducibles strictly below t, σ(t) meets the ones
-strictly above, and r^∞ / σ^∞ iterate those to their fixpoints.
+strictly above, and r^∞ / σ^∞ iterate those to their fixpoints. E and
+the r and σ tables are built once per lattice, so r^∞ / σ^∞ are walks
+along a table.
 """
 
 from __future__ import annotations
@@ -43,9 +45,22 @@ class Lattice:
 
     @cached_property
     def irr_mask(self) -> int:
-        """Join irreducibles: the elements covering exactly one element."""
-        cd = self.poset.covers_down
-        return mask_of(i for i in range(self.n) if cd[i].bit_count() == 1)
+        """Join irreducibles: the elements covering exactly one element,
+        that is, whose strict down-set is some element's down-row."""
+        rows = self.poset._by_down_row
+        return mask_of(i for i, row in enumerate(self.poset.down) if row & ~(1 << i) in rows)
+
+    @cached_property
+    def r_table(self) -> tuple[int, ...]:
+        """r(x) for every x: the join of the irreducibles strictly below x."""
+        e, p = self.irr_mask, self.poset
+        return tuple(p.sup_of(e & row & ~(1 << x)) for x, row in enumerate(p.down))
+
+    @cached_property
+    def sigma_table(self) -> tuple[int, ...]:
+        """σ(x) for every x: the meet of the irreducibles strictly above x."""
+        e, p = self.irr_mask, self.poset
+        return tuple(p.inf_of(e & row & ~(1 << x)) for x, row in enumerate(p.up))
 
     def join_mask(self, mask: int) -> int:
         """Join of a set of elements; empty join is the bottom."""
@@ -111,25 +126,25 @@ def lambda_e(t: Lattice) -> int:
 
 def r_op(t: Lattice, x: int) -> int:
     """Join of the irreducibles strictly below x."""
-    return t.join_mask(t.irr_mask & t.poset.strict_down(x))
+    return t.r_table[x]
 
 
 def sigma_op(t: Lattice, x: int) -> int:
     """Meet of the irreducibles strictly above x."""
-    return t.meet_mask(t.irr_mask & t.poset.strict_up(x))
+    return t.sigma_table[x]
 
 
-def _iterate(step, x: int) -> int:
-    while True:
-        nxt = step(x)
-        if nxt == x:
-            return x
-        x = nxt
+def _fixpoint(table: tuple[int, ...], x: int) -> int:
+    """Follow x -> table[x] until it stops moving; r only descends and σ
+    only climbs, so the chase ends."""
+    while table[x] != x:
+        x = table[x]
+    return x
 
 
 def r_inf(t: Lattice, x: int) -> int:
-    return _iterate(lambda y: r_op(t, y), x)
+    return _fixpoint(t.r_table, x)
 
 
 def sigma_inf(t: Lattice, x: int) -> int:
-    return _iterate(lambda y: sigma_op(t, y), x)
+    return _fixpoint(t.sigma_table, x)

@@ -18,6 +18,7 @@ from germclosure import (
     enumerate_posets,
     germ_closure,
     ghat_sets,
+    is_germ_extension,
     isomorphisms,
     lambda_sets,
     lower_set_lattice,
@@ -176,6 +177,115 @@ def test_canonical_embed_rejects_non_extension():
         canonical_embed(clos, c2, [c2.index("u1")])
     with pytest.raises(ValueError):
         canonical_embed(clos, c2, [5])
+
+
+def _pairwise_embed(closure, s: Poset, inclusion: list[int]):
+    """canonical_embed by its pairwise definition, every order check a
+    leq loop over pairs of elements: the oracle for the row version. It
+    returns j, or the type of the exception canonical_embed must raise."""
+    base = closure.base
+    if len(inclusion) != base.n or len(set(inclusion)) != base.n:
+        return ValueError
+    if any(not 0 <= k < s.n for k in inclusion):
+        return ValueError
+    for i in range(base.n):
+        for k in range(base.n):
+            if base.leq(i, k) != s.leq(inclusion[i], inclusion[k]):
+                return ValueError
+    if not is_germ_extension(s, mask_of(inclusion)):
+        return NotAGermExtension
+    j = []
+    for t in range(s.n):
+        shadow = mask_of(k for k in range(base.n) if s.leq(inclusion[k], t))
+        j.append(closure.index_of(shadow))
+    if len(set(j)) != s.n:
+        return AssertionError
+    for t1 in range(s.n):
+        for t2 in range(s.n):
+            if s.leq(t1, t2) != (closure.masks[j[t1]] & ~closure.masks[j[t2]] == 0):
+                return AssertionError
+    if any(j[inclusion[k]] != closure.embed[k] for k in range(base.n)):
+        return AssertionError
+    return j
+
+
+def _embed_outcome(closure, s: Poset, inclusion: list[int]):
+    try:
+        return canonical_embed(closure, s, inclusion)
+    except (ValueError, NotAGermExtension, AssertionError) as e:
+        return type(e)
+
+
+def _relabel(s: Poset, inclusion: list[int], perm: list[int]):
+    """s with element i moved to index perm[i], and inclusion to match."""
+    labels, up = [""] * s.n, [0] * s.n
+    for i, row in enumerate(s.up):
+        labels[perm[i]] = s.labels[i]
+        up[perm[i]] = mask_of(perm[x] for x in bit_indices(row))
+    return Poset(labels, up), [perm[e] for e in inclusion]
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=10), st.data())
+def test_canonical_embed_matches_pairwise_definition(dag, data):
+    """The row-built embedding equals the pairwise one on shuffled germ
+    extensions and on random bases, and rejects a broken inclusion with
+    the same exception type. j is compared directly, so this holds under
+    python -O too, where the library's asserts are gone."""
+    p = Poset.from_relations(*dag)
+    if data.draw(st.booleans(), label="s inside the closure"):
+        # s: a full subposet of G(p) holding the embedded base
+        clos = germ_closure(p)
+        keep = data.draw(st.integers(0, clos.poset.full_mask)) | mask_of(clos.embed)
+        rank = {e: r for r, e in enumerate(bit_indices(keep))}
+        s, inclusion = clos.poset.full_subposet(keep), [rank[e] for e in clos.embed]
+    else:
+        # s: p over a random base, a germ extension or not
+        u_mask = data.draw(st.integers(0, p.full_mask))
+        clos = germ_closure(p.full_subposet(u_mask))
+        s, inclusion = p, list(bit_indices(u_mask))
+    s, inclusion = _relabel(s, inclusion, data.draw(st.permutations(range(s.n))))
+    expected = _pairwise_embed(clos, s, inclusion)
+    assert _embed_outcome(clos, s, inclusion) == expected
+    base = clos.base
+    if base.n >= 2:
+        collided = [inclusion[0]] * 2 + inclusion[2:]
+        assert _pairwise_embed(clos, s, collided) is ValueError
+        assert _embed_outcome(clos, s, collided) is ValueError
+    comparable = [(i, k) for i in range(base.n) for k in range(base.n) if base.lt(i, k)]
+    if comparable:
+        i, k = data.draw(st.sampled_from(comparable))
+        swapped = inclusion.copy()
+        swapped[i], swapped[k] = inclusion[k], inclusion[i]
+        assert _pairwise_embed(clos, s, swapped) is ValueError
+        assert _embed_outcome(clos, s, swapped) is ValueError
+    # any injective inclusion: the order may hold one way only
+    anywhere = data.draw(st.permutations(range(s.n)))[:base.n]
+    assert _embed_outcome(clos, s, anywhere) == _pairwise_embed(clos, s, anywhere)
+
+
+def test_canonical_embed_rejects_like_the_pairwise_definition(vee, npos):
+    """A non-injective inclusion, an inclusion with two comparable base
+    images swapped, inclusions that keep the order one way only and a
+    non-germ-extension each raise the exception type of the pairwise
+    definition."""
+    a, b, c = (vee.index(x) for x in "abc")
+    chain2 = germ_closure(vee.full_subposet(mask_of([a, c])))
+    anti2 = germ_closure(antichain(2))
+    for clos, s, inclusion, error in (
+        (chain2, vee, [a, a], ValueError),
+        (chain2, vee, [c, a], ValueError),
+        # order-preserving fails: the chain lands on an antichain
+        (chain2, vee, [a, b], ValueError),
+        # order-reflecting fails: the antichain lands on a chain
+        (anti2, chain(3), [0, 1], ValueError),
+        (chain2, vee, [a, c], NotAGermExtension),
+    ):
+        assert _pairwise_embed(clos, s, inclusion) is error
+        with pytest.raises(error):
+            canonical_embed(clos, s, inclusion)
+    clos = germ_closure(npos.full_subposet(npos.full_mask))
+    assert canonical_embed(clos, npos) == _pairwise_embed(clos, npos, list(range(npos.n)))
 
 
 def test_reconstruct_twelve(twelve):

@@ -3,7 +3,7 @@ scan, joins and meets, irreducibles, the r and sigma operators,
 lower-set lattices."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from germclosure import (
     CapExceeded,
@@ -13,6 +13,8 @@ from germclosure import (
     antichain,
     chain,
     enumerate_lattices,
+    g_sharp,
+    germ_closure,
     join_irreducibles,
     labelled_posets_by_extension,
     lambda_e,
@@ -23,6 +25,7 @@ from germclosure import (
     sigma_op,
 )
 from germclosure.poset import bit_indices, mask_of
+from test_poset import random_dags
 
 
 def corpus_lattices(max_n=5):
@@ -138,6 +141,58 @@ def test_operators_are_monotone_shifts():
             r = r_inf(t, x)
             assert t.poset.leq(r, x)
             assert r_inf(t, r) == r
+
+
+def scan_sup(p: Poset, mask: int) -> int:
+    """The least upper bound of mask, found by scanning every element."""
+    ub = mask_of(x for x in range(p.n) if mask & ~p.down[x] == 0)
+    (least,) = [x for x in bit_indices(ub) if ub & ~p.up[x] == 0]
+    return least
+
+
+def check_operators_by_definition(t: Lattice) -> None:
+    """irr_mask, r, σ, their fixpoints, ΛE and G♯ equal their definitions,
+    with every join and meet found by scan_sup and every fixpoint by
+    applying the one-step operator until it stops moving."""
+    p, op = t.poset, t.poset.opposite()
+    irr = mask_of(i for i in range(t.n) if p.covers_down[i].bit_count() == 1)
+    assert t.irr_mask == irr
+
+    def r(x):
+        return scan_sup(p, irr & p.strict_down(x))
+
+    def sigma(x):
+        return scan_sup(op, irr & p.strict_up(x))
+
+    def iterate(step, x):
+        while step(x) != x:
+            x = step(x)
+        return x
+
+    sigma_fix = [iterate(sigma, x) for x in range(t.n)]
+    for x in range(t.n):
+        assert r_op(t, x) == r(x)
+        assert sigma_op(t, x) == sigma(x)
+        assert r_inf(t, x) == iterate(r, x)
+        assert sigma_inf(t, x) == sigma_fix[x]
+    assert lambda_e(t) == mask_of(
+        x for x in range(t.n) if scan_sup(op, irr & p.up[x]) == x
+    )
+    assert g_sharp(t) == mask_of(
+        x for x in range(t.n) if iterate(r, sigma_fix[x]) == x
+    )
+
+
+def test_operator_tables_match_definitions():
+    for t in corpus_lattices(8):
+        check_operators_by_definition(t)
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=12))
+def test_operator_tables_match_definitions_on_closures(dag):
+    p = Poset.from_relations(*dag)
+    check_operators_by_definition(Lattice.from_poset(germ_closure(p).poset))
 
 
 def test_lower_set_lattice_of_vee(vee):
