@@ -7,6 +7,10 @@ cuts ]*,r[ of the germs r of U. The two families never overlap. U embeds
 via u -> ]*,u], and for any germ extension S of U the map
 s -> U_{<=s} is the one and only embedding of S onto a full subposet of
 G(U) extending that.
+
+U is a mask over an ambient poset and G(U) stays in its indices:
+germ_closure(p) closes all of p, canonical_embed(s, U) closes U inside s,
+and the embedding reads s's down-rows restricted to U. Nothing is copied.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from typing import Sequence
 
 from .errors import NotAGermExtension
 from .germs import (
-    ElementCase, GermCutCase, GermRecord, LambdaCase, germs_within, grm, grm_mask, is_germ_extension,
+    ElementCase, GermCutCase, GermRecord, LambdaCase, detects, germs_within, grm, grm_mask,
+    is_germ_extension,
 )
 from .lattice import Lattice
 from .poset import (
-    Poset, bit_indices, inclusion_poset, intersect_rows, isomorphisms, mask_of, sorted_by_size,
+    Poset, bit_indices, check_subset, inclusion_poset, intersect_rows, isomorphisms, mask_of,
+    sorted_by_size,
 )
 
 
@@ -55,7 +61,9 @@ def closure_masks(
 ) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
     """G(U) for U = u_mask under the ambient rows, in ambient indices: the
     member masks sorted by (cardinality, bitmask) and each one's case,
-    LambdaCase with the largest cutting witness or GermCutCase with the germ."""
+    LambdaCase with the largest cutting witness or GermCutCase with the germ.
+    Raises ValueError for a mask with bits outside the rows."""
+    check_subset(len(up), u_mask)
     cuts = _cuts(down, u_mask)
     case_of: dict[int, ElementCase] = {m: LambdaCase(intersect_rows(up, m, u_mask)) for m in cuts}
     for r, _ in germs_within(up, down, u_mask):
@@ -69,7 +77,8 @@ def closure_masks(
 
 @dataclass(frozen=True)
 class GermClosure:
-    """G(u): a family of lower sets of the base, inclusion ordered.
+    """G(U) for the subset U of base: a family of lower sets of U,
+    inclusion ordered, all in base's indices.
 
     masks[i] is the subset element i stands for; cases[i] says which
     family it came from (LambdaCase with the largest cutting witness, or
@@ -77,6 +86,7 @@ class GermClosure:
     """
 
     base: Poset
+    subset: int
     masks: tuple[int, ...]
     cases: tuple[ElementCase, ...]
 
@@ -91,8 +101,9 @@ class GermClosure:
 
     @cached_property
     def embed(self) -> tuple[int, ...]:
-        """embed[k] is the element ]*,k] that base element k maps to."""
-        return tuple(map(self.index_of, self.base.down))
+        """embed[k] is the element ]*,u] for the k-th element u of U."""
+        down = self.base.down
+        return tuple(self.index_of(down[u] & self.subset) for u in bit_indices(self.subset))
 
     def index_of(self, mask: int) -> int:
         return self._by_mask[mask]
@@ -107,9 +118,9 @@ class GermClosure:
 
     def join(self, i: int, j: int) -> int:
         """Join of two elements: the intersection of every element
-        containing both, which the closure always contains."""
+        containing both, which the closure always contains (U among them)."""
         union = self.masks[i] | self.masks[j]
-        out = self.base.full_mask
+        out = self.subset
         for m in self.masks:
             if union & ~m == 0:
                 out &= m
@@ -117,64 +128,34 @@ class GermClosure:
 
 
 def germ_closure(u: Poset) -> GermClosure:
-    return GermClosure(u, *closure_masks(u.up, u.down, u.full_mask))
+    return GermClosure(u, u.full_mask, *closure_masks(u.up, u.down, u.full_mask))
 
 
-def canonical_embed(
-    closure: GermClosure, s: Poset, inclusion: list[int] | None = None
-) -> list[int]:
-    """The embedding j(t) = U_{<=t} of a germ extension s into the closure.
+def canonical_embed(s: Poset, u_mask: int) -> tuple[GermClosure, list[int]]:
+    """G(U) for U = u_mask in s's indices, and the embedding j(t) = U_{<=t}
+    of s into it.
 
-    inclusion[k] locates base element k inside s; by default labels are
-    matched. Raises NotAGermExtension when s does not germ-extend the
-    image of the base; bad inclusions raise ValueError.
+    Raises NotAGermExtension unless s germ-extends U, and ValueError for
+    a mask with bits outside s.
     """
-    base = closure.base
-    if inclusion is None:
-        inclusion = [s.index(lab) for lab in base.labels]
-    if len(inclusion) != base.n or len(set(inclusion)) != base.n:
-        raise ValueError("inclusion is not injective on the base")
-    if any(not 0 <= k < s.n for k in inclusion):
-        raise ValueError("inclusion points outside the ambient poset")
-    # inc_up[k]: the elements of s above base element k. Transposing it
-    # (the loop of Poset.__init__) gives every shadow U_{<=t} at once.
-    inc_up = [s.up[k] for k in inclusion]
-    shadow = [0] * s.n
-    for k, row in enumerate(inc_up):
-        while row:
-            low = row & -row
-            shadow[low.bit_length() - 1] |= 1 << k
-            row ^= low
-    # i <= k in the base iff inclusion[i] <= inclusion[k] in s, for all i, k
-    if any(shadow[e] != row for e, row in zip(inclusion, base.down)):
-        raise ValueError("inclusion is not a full-subposet embedding")
-    if not is_germ_extension(s, mask_of(inclusion)):
-        raise NotAGermExtension(
-            "the ambient poset does not germ-extend the embedded base"
-        )
-    j = [closure.index_of(m) for m in shadow]
+    if not is_germ_extension(s, u_mask):
+        raise NotAGermExtension("the ambient poset does not germ-extend the given subset")
+    closure = GermClosure(s, u_mask, *closure_masks(s.up, s.down, u_mask))
+    j = [closure.index_of(u_mask & row) for row in s.down]
     assert len(set(j)) == s.n, "canonical embedding is not injective"
-    # shadow[t] ⊆ shadow[t2] exactly for the t2 above every base element
-    # under t, so t <= t2 iff the shadows nest when those t2 are s.up[t]
-    assert all(
-        intersect_rows(inc_up, m, s.full_mask) == row for m, row in zip(shadow, s.up)
-    ), "canonical embedding does not preserve the order both ways"
-    for k in range(base.n):
-        assert j[inclusion[k]] == closure.embed[k], "embedding moves the base"
-    return j
+    assert detects(s, u_mask), "canonical embedding does not preserve the order both ways"
+    return closure, j
 
 
 def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
     """Strip the germs of the lattice t, close what is left, and exhibit
     the isomorphism t ≅ G(u) for u = t - Grm(t).
 
-    Returns the closure of u and the index map t -> closure, asserted to
-    be an order isomorphism.
+    Returns the closure of u in t's indices (base t.poset, subset u) and
+    the index map t -> closure, asserted to be an order isomorphism.
     """
     t_poset = t.poset
-    u_mask = t_poset.full_mask & ~grm_mask(t_poset)
-    closure = germ_closure(t_poset.full_subposet(u_mask))
-    j = canonical_embed(closure, t_poset, inclusion=list(bit_indices(u_mask)))
+    closure, j = canonical_embed(t_poset, t_poset.full_mask & ~grm_mask(t_poset))
     assert closure.n == t_poset.n, (
         f"closure has {closure.n} elements but the input has {t_poset.n}"
     )

@@ -42,7 +42,6 @@ def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
     criterion, carrying the closure, the ν image and any violating germs
     along. A germ r of U violates it when ν of its strict cut, the
     closure's GermCutCase element for r, is r itself."""
-    check_subset(t.poset, u_mask)
     masks, cases = closure_masks(t.poset.up, t.poset.down, u_mask)
     nu_image = tuple(map(t.join_mask, masks))
     violating = tuple(sorted(
@@ -118,7 +117,7 @@ def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
     germ of S that equals the join of the S-elements below it. Returns
     is_germ_extensible(t, U), which carries U and Ḡ(U)."""
-    check_subset(t.poset, s_mask)
+    check_subset(t.n, s_mask)
     return _base_result(t, s_mask, {})
 
 

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceeded, NotALattice
 from .lattice import Lattice
-from .poset import Poset, bit_indices, down_closed_masks, mask_of, refined_invariants
+from .poset import Poset, bit_indices, down_closed_masks, mask_of, refined_invariants, transpose
 
 POSET_SIZE_CAP = 7
 LATTICE_SIZE_CAP = 8
@@ -109,11 +109,7 @@ def canonical_key(up: Sequence[int]) -> tuple[int, ...]:
     preserves the refined invariants.
     """
     n = len(up)
-    down = [0] * n
-    for i in range(n):
-        for j in bit_indices(up[i]):
-            down[j] |= 1 << i
-    inv = refined_invariants(up, down)
+    inv = refined_invariants(up, transpose(up, n))
     classes: dict = {}
     for i, v in enumerate(inv):
         classes.setdefault(v, []).append(i)

@@ -56,7 +56,9 @@ def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) ->
 
 def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tuple[int, int]]:
     """(germ, cogerm) for every germ of the subposet on mask, ascending
-    by germ, in ambient indices. No subposet is built."""
+    by germ, in ambient indices. No subposet is built. Raises ValueError
+    for a mask with bits outside the rows."""
+    check_subset(len(up), mask)
     out = []
     for u in bit_indices(mask):
         cands = cogerms_within(up, down, mask, u)
@@ -99,20 +101,17 @@ def grm_mask(p: Poset) -> int:
 
 def detects(p: Poset, u_mask: int) -> bool:
     """Whether comparisons in the ambient poset p are decided by the
-    shadows of U = u_mask: s <= t iff U_{<=s} is a subset of U_{<=t}."""
-    check_subset(p, u_mask)
-    shadows = [u_mask & p.down[s] for s in range(p.n)]
-    for s in range(p.n):
-        for t in range(p.n):
-            if p.leq(s, t) != (shadows[s] & ~shadows[t] == 0):
-                return False
-    return True
+    shadows of U = u_mask: s <= t iff U_{<=s} is a subset of U_{<=t}.
+    The t whose shadow contains U_{<=s} are the upper bounds of U_{<=s},
+    so this is one row comparison per s."""
+    check_subset(p.n, u_mask)
+    return all(p.upper_bounds(u_mask & down) == up for down, up in zip(p.down, p.up))
 
 
 def is_germ_extension(p: Poset, u_mask: int) -> bool:
     """Whether every element of the ambient poset p outside U = u_mask
     is a germ of p."""
-    check_subset(p, u_mask)
+    check_subset(p.n, u_mask)
     return p.full_mask & ~u_mask & ~grm_mask(p) == 0
 
 
@@ -135,7 +134,7 @@ ElementCase = LambdaCase | GermCutCase
 
 def lambda_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """Largest B within U with U_{<=B} == U_{<=s}, or None if no B works."""
-    check_subset(p, u_mask)
+    check_subset(p.n, u_mask)
     shadow = u_mask & p.down[s]
     b = u_mask & p.upper_bounds(shadow)
     return b if u_mask & p.lower_bounds(b) == shadow else None
@@ -144,7 +143,6 @@ def lambda_witness(p: Poset, u_mask: int, s: int) -> int | None:
 def germ_cut_witness(p: Poset, u_mask: int, s: int) -> int | None:
     """A germ r of the subposet U whose strict cut ]*,r[ equals U_{<=s},
     or None. Indices are ambient."""
-    check_subset(p, u_mask)
     shadow = u_mask & p.down[s]
     for r, _ in germs_within(p.up, p.down, u_mask):
         if u_mask & p.strict_down(r) == shadow:

@@ -27,13 +27,14 @@ from .germs import (
     cogerm_candidates,
     detects,
     germ_cut_witness,
+    germs_within,
     grm,
     grm_mask,
     is_germ_extension,
     lambda_witness,
 )
 from .lattice import Lattice, lambda_e, lower_set_lattice
-from .poset import Poset, bit_indices, embeddings, isomorphisms, mask_of
+from .poset import Poset, bit_indices, embeddings, isomorphisms, mask_of, set_label
 
 PAIR_LIMIT = 4
 
@@ -64,27 +65,21 @@ def describe_poset(p: Poset) -> str:
     return f"elements: {' '.join(p.labels)}; relations: {rels}"
 
 
-def _describe_pair(s: Poset, u_mask: int) -> str:
-    u = ",".join(s.labels[i] for i in bit_indices(u_mask))
-    return f"{describe_poset(s)}; U={{{u}}}"
-
-
-def _compress(mask: int, keep: list[int]) -> int:
-    return mask_of(k for k, p in enumerate(keep) if mask >> p & 1)
-
-
-def _pairs(ctx: Context) -> Iterator[tuple[Poset, int]]:
+def _pairs(ctx: Context) -> Iterator[tuple[Poset, int, str]]:
+    """(s, U, instance) for every subset U of each small poset s; s is
+    described once for all its subsets."""
     for s in ctx.posets:
         if s.n > PAIR_LIMIT:
             continue
+        desc = describe_poset(s)
         for u_mask in range(1 << s.n):
-            yield s, u_mask
+            yield s, u_mask, f"{desc}; U={set_label(s, u_mask)}"
 
 
-def _extension_pairs(ctx: Context) -> Iterator[tuple[Poset, int]]:
-    for s, u_mask in _pairs(ctx):
+def _extension_pairs(ctx: Context) -> Iterator[tuple[Poset, int, str]]:
+    for s, u_mask, inst in _pairs(ctx):
         if is_germ_extension(s, u_mask):
-            yield s, u_mask
+            yield s, u_mask, inst
 
 
 # -- germ facts --------------------------------------------------------------
@@ -124,19 +119,19 @@ def _pred_germ_chain_nesting(ctx: Context) -> Iterator[Result]:
 
 def _pred_base_detects(ctx: Context) -> Iterator[Result]:
     """A germ extension is detected by its base."""
-    for s, u_mask in _extension_pairs(ctx):
-        yield _describe_pair(s, u_mask), detects(s, u_mask), "not detected"
+    for s, u_mask, inst in _extension_pairs(ctx):
+        yield inst, detects(s, u_mask), "not detected"
 
 
 def _pred_shadow_shape_exclusive(ctx: Context) -> Iterator[Result]:
     """In a germ extension, every shadow U_{<=s} is a cut U_{<=B} or a
     strict germ cut, never both, never neither."""
-    for s, u_mask in _extension_pairs(ctx):
+    for s, u_mask, inst in _extension_pairs(ctx):
         for t in range(s.n):
             b = lambda_witness(s, u_mask, t)
             r = germ_cut_witness(s, u_mask, t)
             yield (
-                f"{_describe_pair(s, u_mask)}; s={s.labels[t]}",
+                f"{inst}; s={s.labels[t]}",
                 (b is None) != (r is None),
                 "both shapes" if b is not None and r is not None else "neither shape",
             )
@@ -145,7 +140,7 @@ def _pred_shadow_shape_exclusive(ctx: Context) -> Iterator[Result]:
 def _pred_shadows_force_extension(ctx: Context) -> Iterator[Result]:
     """Detection plus both shadow shapes everywhere forces a germ
     extension."""
-    for s, u_mask in _pairs(ctx):
+    for s, u_mask, inst in _pairs(ctx):
         if not detects(s, u_mask):
             continue
         if any(
@@ -155,7 +150,7 @@ def _pred_shadows_force_extension(ctx: Context) -> Iterator[Result]:
         ):
             continue
         yield (
-            _describe_pair(s, u_mask),
+            inst,
             is_germ_extension(s, u_mask),
             "hypotheses hold but some non-base element is not a germ",
         )
@@ -164,17 +159,16 @@ def _pred_shadows_force_extension(ctx: Context) -> Iterator[Result]:
 def _pred_intermediate_extension(ctx: Context) -> Iterator[Result]:
     """Anything between a base and a germ extension of it is again a germ
     extension of the base."""
-    for s, u_mask in _extension_pairs(ctx):
+    for s, u_mask, inst in _extension_pairs(ctx):
         rest = s.full_mask & ~u_mask
         sub_bits = list(bit_indices(rest))
         for pick in range(1 << len(sub_bits)):
             r_mask = u_mask | mask_of(sub_bits[k] for k in bit_indices(pick))
-            sub = s.full_subposet(r_mask)
-            keep = list(bit_indices(r_mask))
-            ok = is_germ_extension(sub, _compress(u_mask, keep))
+            # R germ-extends U when everything R adds is a germ of R
+            r_germs = mask_of(r for r, _ in germs_within(s.up, s.down, r_mask))
             yield (
-                f"{_describe_pair(s, u_mask)}; R={{{','.join(s.labels[i] for i in bit_indices(r_mask))}}}",
-                ok,
+                f"{inst}; R={set_label(s, r_mask)}",
+                r_mask & ~u_mask & ~r_germs == 0,
                 "intermediate poset is not a germ extension",
             )
 
@@ -191,17 +185,13 @@ def _count_base_fixing_embeddings(clos, s: Poset, inclusion: list[int]) -> int:
 def _pred_universal_property(ctx: Context) -> Iterator[Result]:
     """A germ extension embeds into the closure of its base by
     s -> U_{<=s}, and no other base-fixing embedding exists."""
-    for s, u_mask in _extension_pairs(ctx):
-        inclusion = list(bit_indices(u_mask))
-        sub = s.full_subposet(u_mask)
-        clos = germ_closure(sub)
-        inst = _describe_pair(s, u_mask)
+    for s, u_mask, inst in _extension_pairs(ctx):
         try:
-            canonical_embed(clos, s, inclusion)
+            clos, _ = canonical_embed(s, u_mask)
         except AssertionError as e:
             yield inst, False, f"canonical embedding broke: {e}"
             continue
-        n_embeddings = _count_base_fixing_embeddings(clos, s, inclusion)
+        n_embeddings = _count_base_fixing_embeddings(clos, s, list(bit_indices(u_mask)))
         yield inst, n_embeddings == 1, f"{n_embeddings} base-fixing embeddings"
 
 
@@ -262,26 +252,21 @@ def _pred_germ_transfer(ctx: Context) -> Iterator[Result]:
     that are ambient germs are base germs; each base germ keeps its chain
     and either stays an ambient germ with the same cogerm or sits right
     above an ambient germ outside the base with that cogerm."""
-    for s, u_mask in _extension_pairs(ctx):
-        sub = s.full_subposet(u_mask)
-        keep = list(bit_indices(u_mask))
-        inst = _describe_pair(s, u_mask)
-        sub_germs = grm_mask(sub)
+    for s, u_mask, inst in _extension_pairs(ctx):
+        base_germs = germs_within(s.up, s.down, u_mask)
+        base_germ_mask = mask_of(r for r, _ in base_germs)
         for rec in grm(s):
             if u_mask >> rec.germ & 1:
-                pos = keep.index(rec.germ)
                 yield (
                     f"{inst}; s={s.labels[rec.germ]}",
-                    bool(sub_germs >> pos & 1),
+                    bool(base_germ_mask >> rec.germ & 1),
                     "ambient germ in the base is not a base germ",
                 )
         s_germ_recs = {r.germ: r for r in grm(s)}
-        for rec in grm(sub):
-            r = keep[rec.germ]
-            rhat = keep[rec.cogerm]
+        for r, rhat in base_germs:
             inst_r = f"{inst}; r={s.labels[r]}"
-            mapped = mask_of(keep[i] for i in bit_indices(sub.closed(rec.germ, rec.cogerm)))
-            if s.closed(r, rhat) != mapped:
+            # [r,r^]_U is [r,r^]_S restricted to U, so they differ when S adds to it
+            if s.closed(r, rhat) & ~u_mask:
                 yield inst_r, False, "[r,r^]_S differs from [r,r^]_U"
                 continue
             cut = s.strict_down(r)
@@ -344,9 +329,10 @@ def _pred_nu_criterion(ctx: Context) -> Iterator[Result]:
     """ν is injective exactly when every germ clears its join, and ν is
     always monotone."""
     for t in ctx.lattices:
+        desc = describe_poset(t.poset)
         for u_mask in range(1 << t.n):
             res = is_germ_extensible(t, u_mask)
-            inst = _describe_pair(t.poset, u_mask)
+            inst = f"{desc}; U={set_label(t.poset, u_mask)}"
             size = len(res.masks)
             direct = len(set(res.nu_image)) == size
             yield inst, res.extensible == direct, (

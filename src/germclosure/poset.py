@@ -40,6 +40,19 @@ def intersect_rows(rows: Sequence[int], mask: int, start: int) -> int:
     return start
 
 
+def transpose(rows: Sequence[int], n: int) -> list[int]:
+    """The rows of the transposed relation on range(n): out[j] holds i
+    exactly when rows[i] holds j. Up rows give down rows and back."""
+    out = [0] * n
+    for i, m in enumerate(rows):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out
+
+
 def down_closed_masks(down: Sequence[int], cap: Optional[int] = None) -> list[int]:
     """All down-closed subsets of the poset with the given down rows, as
     ascending ints. Raises CapExceeded once more than cap turn up."""
@@ -59,9 +72,9 @@ def down_closed_masks(down: Sequence[int], cap: Optional[int] = None) -> list[in
     return sorted(seen)
 
 
-def check_subset(p: "Poset", mask: int) -> None:
-    """Raise ValueError unless mask is a subset of p's elements."""
-    if mask & ~p.full_mask:
+def check_subset(n: int, mask: int) -> None:
+    """Raise ValueError unless mask is a subset of range(n), a poset's elements."""
+    if mask >> n:
         raise ValueError("the subset has elements outside the given poset")
 
 
@@ -80,10 +93,7 @@ def inclusion_poset(p: "Poset", masks: Sequence[int]) -> "Poset":
     """The subsets masks of p ordered by inclusion, labelled in set
     notation; element k stands for masks[k]."""
     # holders[e]: the members containing e; m's up-row intersects them over m
-    holders = [0] * p.n
-    for k, m in enumerate(masks):
-        for e in bit_indices(m):
-            holders[e] |= 1 << k
+    holders = transpose(masks, p.n)
     every = (1 << len(masks)) - 1
     up = [intersect_rows(holders, m, every) for m in masks]
     return Poset([set_label(p, m) for m in masks], up)
@@ -96,15 +106,7 @@ class Poset:
     def __init__(self, labels: Sequence[str], up: Sequence[int]):
         self.labels = tuple(labels)
         self.up = tuple(up)
-        n = len(self.labels)
-        down = [0] * n
-        for i in range(n):
-            m = self.up[i]
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        self.down = tuple(down)
+        self.down = tuple(transpose(self.up, len(self.labels)))
 
     @classmethod
     def from_relations(
@@ -283,11 +285,7 @@ class Poset:
     @cached_property
     def covers_down(self) -> tuple[int, ...]:
         """covers_down[i] = elements j covered by i."""
-        out = [0] * self.n
-        for i, m in enumerate(self.covers_up):
-            for j in bit_indices(m):
-                out[j] |= 1 << i
-        return tuple(out)
+        return tuple(transpose(self.covers_up, self.n))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All covering pairs (i, j) with j covering i, index order."""

@@ -17,6 +17,7 @@ from germclosure import (
     closure_masks,
     enumerate_posets,
     germ_closure,
+    germs_within,
     ghat_sets,
     is_germ_extension,
     isomorphisms,
@@ -154,138 +155,110 @@ def test_embedding_fixes_principal_lower_sets(vee, npos):
 
 
 def test_canonical_embed_of_an_extension(vee):
-    sub = vee.full_subposet(mask_of([vee.index("a"), vee.index("b")]))
-    clos = germ_closure(sub)
-    j = canonical_embed(clos, vee, [vee.index("a"), vee.index("b")])
-    # c lands on its shadow {a,b}
-    assert clos.masks[j[vee.index("c")]] == mask_of([0, 1])
-
-
-def test_canonical_embed_finds_inclusion_by_labels(vee):
-    sub = vee.full_subposet(mask_of([vee.index("a"), vee.index("b")]))
-    clos = germ_closure(sub)
-    assert canonical_embed(clos, vee) == canonical_embed(
-        clos, vee, [vee.index("a"), vee.index("b")]
-    )
+    u = vee.subset(["a", "b"])
+    clos, j = canonical_embed(vee, u)
+    assert clos.base is vee and clos.subset == u
+    # c lands on its shadow {a,b}, in vee's own indices
+    assert clos.masks[j[vee.index("c")]] == u
+    assert [j[k] for k in bit_indices(u)] == list(clos.embed)
 
 
 def test_canonical_embed_rejects_non_extension():
     c2 = chain(2)
-    sub = c2.full_subposet(mask_of([c2.index("u1")]))
-    clos = germ_closure(sub)
     with pytest.raises(NotAGermExtension):
-        canonical_embed(clos, c2, [c2.index("u1")])
-    with pytest.raises(ValueError):
-        canonical_embed(clos, c2, [5])
+        canonical_embed(c2, c2.subset(["u1"]))
+    for foreign in (1 << c2.n, -1):
+        with pytest.raises(ValueError):
+            canonical_embed(c2, foreign)
 
 
-def _pairwise_embed(closure, s: Poset, inclusion: list[int]):
-    """canonical_embed by its pairwise definition, every order check a
-    leq loop over pairs of elements: the oracle for the row version. It
-    returns j, or the type of the exception canonical_embed must raise."""
-    base = closure.base
-    if len(inclusion) != base.n or len(set(inclusion)) != base.n:
-        return ValueError
-    if any(not 0 <= k < s.n for k in inclusion):
-        return ValueError
-    for i in range(base.n):
-        for k in range(base.n):
-            if base.leq(i, k) != s.leq(inclusion[i], inclusion[k]):
-                return ValueError
-    if not is_germ_extension(s, mask_of(inclusion)):
+def _lifted_closure(p: Poset, mask: int):
+    """Members and cases of the closure of the copied subposet on mask,
+    lifted back into p's indices."""
+    keep = list(bit_indices(mask))
+    clos = germ_closure(p.full_subposet(mask))
+    masks = tuple(_lift(m, keep) for m in clos.masks)
+    cases = [
+        LambdaCase(_lift(c.witness, keep)) if isinstance(c, LambdaCase)
+        else GermCutCase(keep[c.germ])
+        for c in clos.cases
+    ]
+    return masks, cases
+
+
+def _pairwise_embed(s: Poset, u_mask: int):
+    """canonical_embed by its definition, on a copied subposet, every
+    order check a leq loop over pairs of elements: the oracle for the row
+    version. It returns (masks, cases, j), or the type of the exception
+    canonical_embed must raise."""
+    if not is_germ_extension(s, u_mask):
         return NotAGermExtension
+    masks, cases = _lifted_closure(s, u_mask)
+    index = {m: i for i, m in enumerate(masks)}
     j = []
     for t in range(s.n):
-        shadow = mask_of(k for k in range(base.n) if s.leq(inclusion[k], t))
-        j.append(closure.index_of(shadow))
+        shadow = mask_of(u for u in bit_indices(u_mask) if s.leq(u, t))
+        j.append(index[shadow])
     if len(set(j)) != s.n:
         return AssertionError
     for t1 in range(s.n):
         for t2 in range(s.n):
-            if s.leq(t1, t2) != (closure.masks[j[t1]] & ~closure.masks[j[t2]] == 0):
+            if s.leq(t1, t2) != (masks[j[t1]] & ~masks[j[t2]] == 0):
                 return AssertionError
-    if any(j[inclusion[k]] != closure.embed[k] for k in range(base.n)):
-        return AssertionError
-    return j
+    return masks, cases, j
 
 
-def _embed_outcome(closure, s: Poset, inclusion: list[int]):
+def _embed_outcome(s: Poset, u_mask: int):
     try:
-        return canonical_embed(closure, s, inclusion)
+        clos, j = canonical_embed(s, u_mask)
     except (ValueError, NotAGermExtension, AssertionError) as e:
         return type(e)
+    assert clos.base is s and clos.subset == u_mask
+    return clos.masks, list(clos.cases), j
 
 
-def _relabel(s: Poset, inclusion: list[int], perm: list[int]):
-    """s with element i moved to index perm[i], and inclusion to match."""
+def _relabel(s: Poset, u_mask: int, perm: list[int]):
+    """s with element i moved to index perm[i], and u_mask to match."""
     labels, up = [""] * s.n, [0] * s.n
     for i, row in enumerate(s.up):
         labels[perm[i]] = s.labels[i]
         up[perm[i]] = mask_of(perm[x] for x in bit_indices(row))
-    return Poset(labels, up), [perm[e] for e in inclusion]
+    return Poset(labels, up), mask_of(perm[u] for u in bit_indices(u_mask))
 
 
 @settings(deadline=None)
 @given(random_dags(max_n=10), st.data())
 def test_canonical_embed_matches_pairwise_definition(dag, data):
-    """The row-built embedding equals the pairwise one on shuffled germ
-    extensions and on random bases, and rejects a broken inclusion with
-    the same exception type. j is compared directly, so this holds under
-    python -O too, where the library's asserts are gone."""
+    """The row-built closure and embedding equal the ones of the copied
+    subposet, lifted, on shuffled germ extensions and on random bases,
+    and a non-extension raises the same exception type. Masks, cases and
+    j are compared directly, so this holds under python -O too, where
+    the library's asserts are gone."""
     p = Poset.from_relations(*dag)
     if data.draw(st.booleans(), label="s inside the closure"):
         # s: a full subposet of G(p) holding the embedded base
         clos = germ_closure(p)
         keep = data.draw(st.integers(0, clos.poset.full_mask)) | mask_of(clos.embed)
         rank = {e: r for r, e in enumerate(bit_indices(keep))}
-        s, inclusion = clos.poset.full_subposet(keep), [rank[e] for e in clos.embed]
+        s, u_mask = clos.poset.full_subposet(keep), mask_of(rank[e] for e in clos.embed)
     else:
         # s: p over a random base, a germ extension or not
-        u_mask = data.draw(st.integers(0, p.full_mask))
-        clos = germ_closure(p.full_subposet(u_mask))
-        s, inclusion = p, list(bit_indices(u_mask))
-    s, inclusion = _relabel(s, inclusion, data.draw(st.permutations(range(s.n))))
-    expected = _pairwise_embed(clos, s, inclusion)
-    assert _embed_outcome(clos, s, inclusion) == expected
-    base = clos.base
-    if base.n >= 2:
-        collided = [inclusion[0]] * 2 + inclusion[2:]
-        assert _pairwise_embed(clos, s, collided) is ValueError
-        assert _embed_outcome(clos, s, collided) is ValueError
-    comparable = [(i, k) for i in range(base.n) for k in range(base.n) if base.lt(i, k)]
-    if comparable:
-        i, k = data.draw(st.sampled_from(comparable))
-        swapped = inclusion.copy()
-        swapped[i], swapped[k] = inclusion[k], inclusion[i]
-        assert _pairwise_embed(clos, s, swapped) is ValueError
-        assert _embed_outcome(clos, s, swapped) is ValueError
-    # any injective inclusion: the order may hold one way only
-    anywhere = data.draw(st.permutations(range(s.n)))[:base.n]
-    assert _embed_outcome(clos, s, anywhere) == _pairwise_embed(clos, s, anywhere)
+        s, u_mask = p, data.draw(st.integers(0, p.full_mask))
+    s, u_mask = _relabel(s, u_mask, data.draw(st.permutations(range(s.n))))
+    assert _embed_outcome(s, u_mask) == _pairwise_embed(s, u_mask)
 
 
 def test_canonical_embed_rejects_like_the_pairwise_definition(vee, npos):
-    """A non-injective inclusion, an inclusion with two comparable base
-    images swapped, inclusions that keep the order one way only and a
-    non-germ-extension each raise the exception type of the pairwise
-    definition."""
-    a, b, c = (vee.index(x) for x in "abc")
-    chain2 = germ_closure(vee.full_subposet(mask_of([a, c])))
-    anti2 = germ_closure(antichain(2))
-    for clos, s, inclusion, error in (
-        (chain2, vee, [a, a], ValueError),
-        (chain2, vee, [c, a], ValueError),
-        # order-preserving fails: the chain lands on an antichain
-        (chain2, vee, [a, b], ValueError),
-        # order-reflecting fails: the antichain lands on a chain
-        (anti2, chain(3), [0, 1], ValueError),
-        (chain2, vee, [a, c], NotAGermExtension),
-    ):
-        assert _pairwise_embed(clos, s, inclusion) is error
-        with pytest.raises(error):
-            canonical_embed(clos, s, inclusion)
-    clos = germ_closure(npos.full_subposet(npos.full_mask))
-    assert canonical_embed(clos, npos) == _pairwise_embed(clos, npos, list(range(npos.n)))
+    """A non-germ-extension raises the exception type of the pairwise
+    definition, and a whole poset embeds into its own closure as that
+    definition says."""
+    u = vee.subset(["a", "c"])
+    assert _pairwise_embed(vee, u) is NotAGermExtension
+    with pytest.raises(NotAGermExtension):
+        canonical_embed(vee, u)
+    clos, j = canonical_embed(npos, npos.full_mask)
+    assert (clos.masks, list(clos.cases), j) == _pairwise_embed(npos, npos.full_mask)
+    assert j == list(germ_closure(npos).embed)
 
 
 def test_reconstruct_twelve(twelve):
@@ -311,15 +284,18 @@ def test_reconstruct_all_small_lattices():
 @given(random_dags(max_n=9))
 def test_reconstruct_closures_of_random_posets(data):
     """Tabulating G(p) as a lattice and reconstructing it gives an order
-    bijection onto a closure whose base is isomorphic to p."""
+    bijection onto a closure, in t's indices, whose base is isomorphic to
+    p and whose joins are t's."""
     p = Poset.from_relations(*data)
     t = Lattice.from_poset(germ_closure(p).poset)
     clos, j = reconstruct_from_lattice(t)
+    assert clos.base is t.poset
     assert clos.n == t.n and sorted(j) == list(range(t.n))
     for x in range(t.n):
         for y in range(t.n):
             assert t.poset.leq(x, y) == clos.poset.leq(j[x], j[y])
-    assert isomorphisms(clos.base, p, limit=1)
+            assert j[t.join(x, y)] == clos.join(j[x], j[y])
+    assert isomorphisms(clos.base.full_subposet(clos.subset), p, limit=1)
 
 
 def test_aut_transport_examples(vee, npos, twelve):
@@ -373,16 +349,19 @@ def test_closure_masks_match_closure_of_subposet(data, bits):
     same cases with the same witnesses and germs."""
     p = Poset.from_relations(*data)
     mask = bits & p.full_mask
-    keep = list(bit_indices(mask))
-    clos = germ_closure(p.full_subposet(mask))
     masks, cases = closure_masks(p.up, p.down, mask)
-    assert masks == tuple(_lift(m, keep) for m in clos.masks)
-    expected = [
-        LambdaCase(_lift(c.witness, keep)) if isinstance(c, LambdaCase)
-        else GermCutCase(keep[c.germ])
-        for c in clos.cases
-    ]
-    assert list(cases) == expected
+    assert (masks, list(cases)) == _lifted_closure(p, mask)
+
+
+# 1 << 2 is the first index past chain(2)
+@pytest.mark.parametrize("mask", [1 << 2, 1 << 5 | 2, -1])
+@pytest.mark.parametrize(
+    "kernel", [closure_masks, germs_within], ids=["closure_masks", "germs_within"]
+)
+def test_row_kernels_reject_foreign_masks(kernel, mask):
+    p = chain(2)
+    with pytest.raises(ValueError):
+        kernel(p.up, p.down, mask)
 
 
 def test_closure_poset_is_built_on_first_use(npos):

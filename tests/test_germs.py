@@ -151,6 +151,25 @@ def test_detects():
     assert not detects(a2, a2.subset(["u1"]))
 
 
+def _detects_pairwise(p: Poset, u_mask: int) -> bool:
+    """detects by its definition: s <= t iff U_{<=s} ⊆ U_{<=t}, one pair
+    at a time."""
+    shadows = [u_mask & p.down[s] for s in range(p.n)]
+    return all(
+        p.leq(s, t) == (shadows[s] & ~shadows[t] == 0)
+        for s in range(p.n)
+        for t in range(p.n)
+    )
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=10), st.integers(min_value=0, max_value=(1 << 10) - 1))
+def test_detects_matches_pairwise_definition(data, bits):
+    p = Poset.from_relations(*data)
+    mask = bits & p.full_mask
+    assert detects(p, mask) == _detects_pairwise(p, mask)
+
+
 def test_is_germ_extension(vee):
     c2 = chain(2)
     assert is_germ_extension(vee, vee.subset(["a", "b"]))

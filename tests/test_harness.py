@@ -1,5 +1,8 @@
 """The fact suite itself: registry completeness, report aggregation, and
-a green run over a small corpus."""
+a green run over a small corpus, and the pinned stream of instance
+results."""
+
+import hashlib
 
 from germclosure import CorpusSpec, PredicateReport, germ_closure, run_suite
 from germclosure.harness import (
@@ -95,3 +98,23 @@ def test_base_fixing_embeddings_none_and_capped():
     # second point; the count stops at 2
     clos = germ_closure(antichain(4))
     assert _count_base_fixing_embeddings(clos, antichain(2), [0]) == 2
+
+
+# Every (predicate, instance, ok, detail) run_suite streams over posets
+# <= 5 and lattices <= 6: the count and the sha256 of their reprs, one a
+# line. A change to any representative, description or detail string
+# shows here; one made on purpose needs a new digest.
+FACT_STREAM = (2553, "37d31b756b398a993941ec2a9133e3533406c3d63e2355326c4a71cf8727981c")
+
+
+def test_instance_stream_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+
+    def sink(pred, instance, ok, detail):
+        nonlocal count
+        count += 1
+        digest.update(repr((pred, instance, ok, detail)).encode() + b"\n")
+
+    run_suite([CorpusSpec(5, "posets"), CorpusSpec(6, "lattices")], sink=sink)
+    assert (count, digest.hexdigest()) == FACT_STREAM
