@@ -26,8 +26,8 @@ from .germs import (
 )
 from .lattice import Lattice
 from .poset import (
-    Poset, bit_indices, check_subset, inclusion_poset, intersect_rows, isomorphisms, mask_of,
-    sorted_by_size,
+    Poset, bit_indices, check_subset, embeddings, inclusion_poset, intersect_rows, mask_of,
+    sorted_by_size, stabilizer_chain,
 )
 
 
@@ -163,38 +163,26 @@ def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
 
 
 def aut_transport(u: Poset) -> tuple[int, int]:
-    """|Aut(u)| and |Aut(G(u))|, asserted equal via the two transports.
-
-    Every base automorphism acts on the closure elementwise and lands in
-    Aut(G(u)); every closure automorphism fixes the embedded copy of the
-    base setwise and restricts to an automorphism of u.
-    """
-    closure = germ_closure(u)
-    auts_u = isomorphisms(u, u)
-    auts_g = isomorphisms(closure.poset, closure.poset)
-    lifted = set()
-    for alpha in auts_u:
-        images = []
-        for m in closure.masks:
-            moved = mask_of(alpha[i] for i in bit_indices(m))
-            images.append(closure.index_of(moved))
-        assert len(set(images)) == closure.n
-        lifted.add(tuple(images))
-    assert lifted <= set(auts_g), "a lifted action is not an automorphism"
-    assert len(lifted) == len(auts_u), "the lift is not injective"
-    embedded = set(closure.embed)
-    back = {e: k for k, e in enumerate(closure.embed)}
-    for g in auts_g:
-        assert {g[e] for e in embedded} == embedded, (
-            "a closure automorphism moves the embedded base"
-        )
-        beta = [back[g[closure.embed[k]]] for k in range(u.n)]
-        for i in range(u.n):
-            for k in range(u.n):
-                assert u.leq(i, k) == u.leq(beta[i], beta[k]), (
-                    "a restricted automorphism does not preserve the base order"
-                )
-    assert len(auts_u) == len(auts_g), (
-        f"|Aut(base)| = {len(auts_u)} but |Aut(closure)| = {len(auts_g)}"
-    )
-    return len(auts_u), len(auts_g)
+    """|Aut(u)| and |Aut(G(u))|, asserted equal via the two transports on the
+    generators of both stabilizer chains: each base generator lifts to an
+    automorphism of G(u) extending it on the embedded base, and each closure
+    generator fixes the embedded base and restricts to an automorphism of u.
+    Generators suffice, as both transports are homomorphisms; restriction
+    undoes lifting, and equal orders make the two inverse."""
+    closure, (order_u, gens_u) = germ_closure(u), stabilizer_chain(u)
+    g, by_mask, embed = closure.poset, closure._by_mask, closure.embed
+    order_g, gens_g = stabilizer_chain(g)
+    for alpha in gens_u:
+        moved = (mask_of(alpha[i] for i in bit_indices(m)) for m in closure.masks)
+        lift = [1 << by_mask[m] if m in by_mask else 0 for m in moved]
+        assert embeddings(g, g, lift, limit=1), "a lifted action is not an automorphism"
+        extends = all(lift[embed[k]] == 1 << embed[a] for k, a in enumerate(alpha))
+        assert extends, "a lift does not extend its base automorphism"
+    back = {e: k for k, e in enumerate(embed)}
+    for gamma in gens_g:
+        image = {gamma[e] for e in embed}
+        assert image == back.keys(), "a closure automorphism moves the embedded base"
+        restricts = embeddings(u, u, [1 << back[gamma[e]] for e in embed], limit=1)
+        assert restricts, "a restricted automorphism does not preserve the base order"
+    assert order_u == order_g, f"|Aut(base)| = {order_u} but |Aut(closure)| = {order_g}"
+    return order_u, order_g

@@ -153,9 +153,13 @@ def from_poset(p: Poset, name: str = "poset", kind: str = "poset") -> PosetDocum
 
 
 def load_document(path: str | Path) -> PosetDocument:
-    """Read a document, dispatching on the .json extension."""
+    """Read a UTF-8 document, dispatching on the .json extension."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        line = e.object[: e.start].split(b"\n")
+        raise DocumentSyntaxError(len(line), len(line[-1].decode()) + 1, "UTF-8 text") from None
     if path.suffix == ".json":
         return parse_poset_json(text)
     return parse_poset(text)

@@ -310,6 +310,8 @@ def antichain(n: int, prefix: str = "u") -> Poset:
 
 
 # -- isomorphism search ----------------------------------------------------
+# embeddings is the one map search. isomorphisms lists maps; stabilizer_chain keeps
+# one automorphism per orbit point, all that |Aut| and aut_transport need.
 
 
 def refined_invariants(up: Sequence[int], down: Sequence[int]) -> list:
@@ -319,15 +321,15 @@ def refined_invariants(up: Sequence[int], down: Sequence[int]) -> list:
     prune isomorphism search and to order canonical-form classes.
     """
     n = len(up)
+    strict = [
+        (list(bit_indices(down[i] & ~(1 << i))), list(bit_indices(up[i] & ~(1 << i))))
+        for i in range(n)
+    ]
     inv: list = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
     for _ in range(2):
         inv = [
-            (
-                inv[i],
-                tuple(sorted(inv[j] for j in bit_indices(down[i] & ~(1 << i)))),
-                tuple(sorted(inv[j] for j in bit_indices(up[i] & ~(1 << i)))),
-            )
-            for i in range(n)
+            (inv[i], tuple(sorted([inv[j] for j in lo])), tuple(sorted([inv[j] for j in hi])))
+            for i, (lo, hi) in enumerate(strict)
         ]
     return inv
 
@@ -346,6 +348,7 @@ def embeddings(
     order = sorted(range(n), key=lambda i: candidates[i].bit_count())
     found: list[tuple[int, ...]] = []
     f = [-1] * n
+    pup, pdown, qup, qdown = p.up, p.down, q.up, q.down
 
     def place(k: int, used: int) -> bool:
         if k == n:
@@ -355,8 +358,8 @@ def embeddings(
         allowed = candidates[i] & ~used
         for ii in order[:k]:
             j = f[ii]
-            allowed &= q.up[j] if p.up[ii] >> i & 1 else ~q.up[j]
-            allowed &= q.down[j] if p.down[ii] >> i & 1 else ~q.down[j]
+            allowed &= qup[j] if pup[ii] >> i & 1 else ~qup[j]
+            allowed &= qdown[j] if pdown[ii] >> i & 1 else ~qdown[j]
         for j in bit_indices(allowed):
             f[i] = j
             if place(k + 1, used | 1 << j):
@@ -383,20 +386,25 @@ def isomorphisms(p: Poset, q: Poset, limit: Optional[int] = None) -> list[tuple[
     return embeddings(p, q, candidates, limit)
 
 
-def automorphism_count(p: Poset) -> int:
-    """|Aut(p)| by orbit-stabilizer: the product over t of the orbit of t
-    under the automorphisms fixing 0..t-1, each orbit member confirmed by
-    one limit=1 search. No automorphism list is built."""
+def stabilizer_chain(p: Poset) -> tuple[int, list[tuple[int, ...]]]:
+    """|Aut(p)| and a strong generating set: level t confirms each point of the
+    orbit of t under the automorphisms fixing 0..t-1 by one limit=1 search; the
+    automorphisms found, a transversal per level, together generate the group."""
     inv = refined_invariants(p.up, p.down)
     candidates = [mask_of(j for j in range(p.n) if inv[j] == v) for v in inv]
-    count = 1
+    count, generators = 1, []
     for t in range(p.n):
-        orbit = 1
+        level = len(generators)
         for j in bit_indices(candidates[t] & ~(1 << t)):
             trial = candidates.copy()
             trial[t] = 1 << j
-            orbit += bool(embeddings(p, p, trial, limit=1))
-        count *= orbit
+            generators += embeddings(p, p, trial, limit=1)
+        count *= 1 + len(generators) - level
         candidates = [c & ~(1 << t) for c in candidates]
         candidates[t] = 1 << t
-    return count
+    return count, generators
+
+
+def automorphism_count(p: Poset) -> int:
+    """|Aut(p)|, the order of its stabilizer chain."""
+    return stabilizer_chain(p)[0]

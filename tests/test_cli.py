@@ -119,6 +119,24 @@ def test_exit_code_syntax(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "name, data, where",
+    [
+        ("bad.txt", b"elements: \xff a\nrelations:\n", "line 1, column 11"),
+        ("bad.json", b'{"kind": "poset",\n "elements": ["a\xc3\xa9\xe9"]}', "line 2, column 18"),
+    ],
+)
+def test_exit_code_invalid_utf8(tmp_path, capsys, name, data, where):
+    """A document that is not UTF-8 is a syntax error at its first bad
+    byte, reported without a traceback."""
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, out, err = run(["grm", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"syntax error: {where}: expected UTF-8 text\n"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(["grm", "/nonexistent/nowhere.txt"], capsys)
     assert code == 2

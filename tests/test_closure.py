@@ -12,6 +12,7 @@ from germclosure import (
     Poset,
     antichain,
     aut_transport,
+    automorphism_count,
     canonical_embed,
     chain,
     closure_masks,
@@ -303,6 +304,22 @@ def test_aut_transport_examples(vee, npos, twelve):
     assert aut_transport(npos) == (1, 1)
     assert aut_transport(antichain(3)) == (6, 6)
     assert aut_transport(twelve.poset) == (4, 4)
+
+
+def test_aut_transport_of_wide_posets():
+    """Generators keep the check polynomial where listing the groups
+    would take 9! and 6**3 maps."""
+    assert aut_transport(antichain(9)) == (362880, 362880)
+    levels = [[f"{x}{i}" for i in range(3)] for x in "abc"]
+    pairs = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+    three_by_three = Poset.from_relations([x for level in levels for x in level], pairs)
+    assert aut_transport(three_by_three) == (216, 216)
+
+
+def test_aut_transport_matches_automorphism_count():
+    for n in range(7):
+        for p in enumerate_posets(n):
+            assert aut_transport(p) == (automorphism_count(p),) * 2, p.up
 
 
 def test_closure_agrees_with_lower_set_route():

@@ -26,6 +26,7 @@ from germclosure.poset import (
     inclusion_poset,
     mask_of,
     set_label,
+    stabilizer_chain,
 )
 
 
@@ -167,6 +168,27 @@ def test_automorphism_count_matches_listed_automorphisms():
     posets += [t.poset for n in range(9) for t in enumerate_lattices(n)]
     for p in posets:
         assert automorphism_count(p) == len(isomorphisms(p, p)), p.up
+
+
+def _generated_group(generators, n: int) -> set[tuple[int, ...]]:
+    """Close the generators under composition, starting at the identity."""
+    group = frontier = {tuple(range(n))}
+    while frontier:
+        frontier = {tuple(g[i] for i in f) for f in frontier for g in generators} - group
+        group = group | frontier
+    return group
+
+
+def test_stabilizer_chain_generates_the_group():
+    """The chain's transversal elements generate exactly the listed group,
+    and its order is the group's size."""
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    posets += [t.poset for n in range(9) for t in enumerate_lattices(n)]
+    for p in posets:
+        order, generators = stabilizer_chain(p)
+        group = _generated_group(generators, p.n)
+        assert group == set(isomorphisms(p, p)), p.up
+        assert len(group) == order, p.up
 
 
 def _brute_force_isomorphisms(p: Poset, q: Poset) -> set[tuple[int, ...]]:
