@@ -30,7 +30,7 @@ from .germs import GermCutCase, LambdaCase, grm
 from .harness import PREDICATES, run_suite
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import Poset, automorphism_count, set_label
-from .repdim import DimQuery, dimension, g_size
+from .repdim import DimQuery, evaluate, g_size
 
 
 def _load(args) -> tuple[PosetDocument, Poset]:
@@ -159,7 +159,7 @@ def cmd_dim(args) -> int:
         f" dim V={args.dim_v} orientation={args.orientation}"
     )
     for x in range(args.x_min, args.x_max + 1):
-        val = dimension(DimQuery(p, x, args.dim_v), args.orientation)
+        val = evaluate(DimQuery(p, x, args.dim_v), g, aut)
         print(f"  |X|={x}: {val}")
     if g_other != g:
         other = "eop" if args.orientation == "e" else "e"
@@ -171,15 +171,19 @@ def cmd_dim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = (
-        [tok.strip() for tok in args.predicates.split(",") if tok.strip()]
-        if args.predicates
-        else None
-    )
-    if names:
+    names = None
+    if args.predicates is not None:
+        names = [tok.strip() for tok in args.predicates.split(",") if tok.strip()]
         unknown = [n for n in names if n not in PREDICATES]
+        repeated = sorted({n for n in names if names.count(n) > 1})
         if unknown:
             print(f"unknown predicates: {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        if repeated:
+            print(f"predicates named twice: {', '.join(repeated)}", file=sys.stderr)
+            return 2
+        if not names:
+            print("no predicates selected", file=sys.stderr)
             return 2
     specs = [
         CorpusSpec(args.max_size, "posets", args.up_to_iso),
@@ -265,9 +269,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--orientation", choices=("e", "eop"), default="e")
 
     sp = add("verify", cmd_verify, "run the fact suite over a corpus", needs_file=False)
-    sp.add_argument("--max-size", type=int, default=4, help="largest poset size")
-    sp.add_argument("--lattice-max-size", type=int, default=4)
-    sp.add_argument("--predicates", default="", help="comma-separated names")
+    sp.add_argument("--max-size", type=_at_least(0), default=4, help="largest poset size")
+    sp.add_argument("--lattice-max-size", type=_at_least(0), default=4)
+    sp.add_argument("--predicates", help="comma-separated names (default: all)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument(
         "--up-to-iso", action=argparse.BooleanOptionalAction, default=True

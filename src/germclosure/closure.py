@@ -162,14 +162,17 @@ def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
     return closure, j
 
 
-def aut_transport(u: Poset) -> tuple[int, int]:
-    """|Aut(u)| and |Aut(G(u))|, asserted equal via the two transports on the
-    generators of both stabilizer chains: each base generator lifts to an
-    automorphism of G(u) extending it on the embedded base, and each closure
-    generator fixes the embedded base and restricts to an automorphism of u.
-    Generators suffice, as both transports are homomorphisms; restriction
-    undoes lifting, and equal orders make the two inverse."""
-    closure, (order_u, gens_u) = germ_closure(u), stabilizer_chain(u)
+def aut_transport(closure: GermClosure) -> tuple[int, int]:
+    """|Aut(u)| and |Aut(G(u))| for the closure of all of u = closure.base,
+    asserted equal via the two transports on the generators of both
+    stabilizer chains: each base generator lifts to an automorphism of G(u)
+    extending it on the embedded base, and each closure generator fixes the
+    embedded base and restricts to an automorphism of u. Generators suffice
+    (both transports are homomorphisms, restriction undoes lifting, equal
+    orders make the two inverse). ValueError for a proper subset's closure."""
+    u, (order_u, gens_u) = closure.base, stabilizer_chain(closure.base)
+    if closure.subset != u.full_mask:
+        raise ValueError("automorphism transport needs the closure of the whole base")
     g, by_mask, embed = closure.poset, closure._by_mask, closure.embed
     order_g, gens_g = stabilizer_chain(g)
     for alpha in gens_u:

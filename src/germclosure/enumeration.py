@@ -226,6 +226,8 @@ class CorpusSpec:
             raise ValueError(f"unknown corpus kind {self.kind!r}")
         if self.kind == "lattices" and not self.up_to_iso:
             raise ValueError("lattice corpora exist only up to isomorphism")
+        if self.max_size < 0:
+            raise ValueError(f"corpus size must be nonnegative, got {self.max_size}")
         if self.kind == "posets":
             _check_poset_size(self.max_size, self.up_to_iso)
         elif self.max_size > LATTICE_SIZE_CAP:

@@ -5,14 +5,21 @@ corpus; run_suite aggregates them into per-predicate reports carrying
 replayable failure descriptions. Conditional facts count only instances
 satisfying their hypothesis. The op-duality probe is advisory: it reports
 rather than fails, since the duality is conjectural.
+
+A Context holds the corpora of one run and G(p) of each corpus poset p.
+A closure is built inside the first instance that needs it and then
+shared, with its inclusion poset, by closure-lattice, reconstruction and
+op-duality-probe, so each corpus poset is closed once (its opposite once
+more, by op-duality-probe).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .closure import (
+    GermClosure,
     aut_transport,
     canonical_embed,
     germ_closure,
@@ -41,8 +48,19 @@ PAIR_LIMIT = 4
 
 @dataclass
 class Context:
+    """The corpora of one run, and G(p) of each corpus poset p: built in
+    the first instance that asks for it, then shared."""
+
     posets: list[Poset]
     lattices: list[Lattice]
+    _closures: list[GermClosure] = field(default_factory=list, init=False, repr=False)
+
+    def closures(self) -> Iterator[tuple[Poset, GermClosure]]:
+        """Each corpus poset with its closure, in corpus order."""
+        for k, p in enumerate(self.posets):
+            if k == len(self._closures):
+                self._closures.append(germ_closure(p))
+            yield p, self._closures[k]
 
 
 @dataclass(frozen=True)
@@ -212,8 +230,7 @@ def _pred_closure_lattice(ctx: Context) -> Iterator[Result]:
     """The closure contains the empty set and all of U, is closed under
     intersection (incomparable pairs landing in the cut family), and is a
     lattice whose meets are intersections."""
-    for p in ctx.posets:
-        clos = germ_closure(p)
+    for p, clos in ctx.closures():
         inst = describe_poset(p)
         members = set(clos.masks)
         if 0 not in members or p.full_mask not in members:
@@ -302,14 +319,13 @@ def _pred_reconstruction(ctx: Context) -> Iterator[Result]:
     """Reconstruction: the embedded base is exactly the closure minus its
     germs, automorphisms transport bijectively, and stripping a lattice's
     germs and closing gives the lattice back."""
-    for p in ctx.posets:
-        clos = germ_closure(p)
+    for p, clos in ctx.closures():
         inst = describe_poset(p)
         image = mask_of(clos.embed)
         ok = image == clos.poset.full_mask & ~grm_mask(clos.poset)
         yield inst, ok, "embedded base is not closure minus germs"
         try:
-            aut_transport(p)
+            aut_transport(clos)
             yield inst, True, ""
         except AssertionError as e:
             yield inst, False, f"automorphism transport broke: {e}"
@@ -391,9 +407,9 @@ def _pred_closure_vs_lowerset(ctx: Context) -> Iterator[Result]:
 
 def _pred_op_duality_probe(ctx: Context) -> Iterator[Result]:
     """Advisory: G(U^op) and G(U)^op appear to be isomorphic."""
-    for p in ctx.posets:
+    for p, clos in ctx.closures():
         a = germ_closure(p.opposite()).poset
-        b = germ_closure(p).poset.opposite()
+        b = clos.poset.opposite()
         ok = bool(isomorphisms(a, b, limit=1))
         yield describe_poset(p), ok, "closure of the opposite is not the opposite closure"
 

@@ -47,25 +47,32 @@ def alternating_sum(n_e: int, g: int, x: int) -> int:
     return total
 
 
-def dimension(q: DimQuery, orientation: str = "e") -> int:
-    """Evaluate the formula at q. orientation picks whether the closure
-    size is taken from the poset itself ("e") or its opposite ("eop");
-    the automorphism count is the same either way."""
-    if orientation not in ("e", "eop"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    e = q.poset if orientation == "e" else q.poset.opposite()
-    g = g_size(e)
-    aut = automorphism_count(q.poset)
+def evaluate(q: DimQuery, g: int, aut: int) -> int:
+    """The formula at q, given the closure size g of the chosen orientation
+    of q.poset and its automorphism count aut."""
     total = q.dim_v * alternating_sum(q.poset.n, g, q.x_size)
     if total % aut:
         raise DivisibilityViolation(total, aut)
     return total // aut
 
 
+def _oriented_g_size(p: Poset, orientation: str) -> int:
+    if orientation not in ("e", "eop"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return g_size(p if orientation == "e" else p.opposite())
+
+
+def dimension(q: DimQuery, orientation: str = "e") -> int:
+    """Evaluate the formula at q. orientation picks whether the closure
+    size is taken from the poset itself ("e") or its opposite ("eop");
+    the automorphism count is the same either way."""
+    return evaluate(q, _oriented_g_size(q.poset, orientation), automorphism_count(q.poset))
+
+
 def dimension_table(
     e: Poset, x_max: int, dim_v: int = 1, orientation: str = "e"
 ) -> list[int]:
-    """Dimensions for |X| = 0 .. x_max."""
-    return [
-        dimension(DimQuery(e, x, dim_v), orientation) for x in range(x_max + 1)
-    ]
+    """Dimensions for |X| = 0 .. x_max, closing e and counting its
+    automorphisms once for the whole table."""
+    g, aut = _oriented_g_size(e, orientation), automorphism_count(e)
+    return [evaluate(DimQuery(e, x, dim_v), g, aut) for x in range(x_max + 1)]

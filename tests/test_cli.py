@@ -14,6 +14,7 @@ import pytest
 
 from germclosure import enumeration
 from germclosure.cli import main
+from test_repdim import count_closures_and_chains
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -186,6 +187,19 @@ def test_dim_on_a_wide_antichain(tmp_path, capsys):
     assert "|Aut|=3628800" in out.splitlines()[0]
 
 
+def test_dim_builds_its_closures_once_per_table(tmp_path, capsys, monkeypatch):
+    """Both orientations' closures and one stabilizer chain, however
+    many values of |X| the table has."""
+    doc = tmp_path / "anti10.txt"
+    doc.write_text(f"elements: {' '.join(f'a{i}' for i in range(10))}\nrelations:\n")
+    built = count_closures_and_chains(monkeypatch)
+    for x_max in ("2", "30"):
+        built.clear()
+        code, out, _ = run(["dim", str(doc), "--x-max", x_max], capsys)
+        assert code == 0 and len(out.splitlines()) == int(x_max) + 2
+        assert sorted(built) == ["germ_closure"] * 2 + ["stabilizer_chain"]
+
+
 def test_partition_beyond_the_size_cap_exits_3(tmp_path, capsys):
     doc = tmp_path / "chain13.txt"
     labels = [f"c{i}" for i in range(13)]
@@ -209,6 +223,33 @@ def test_unknown_predicate_is_rejected(capsys):
     code, _, err = run(["verify", "--predicates", "nope"], capsys)
     assert code == 2
     assert "nope" in err
+
+
+@pytest.mark.parametrize(
+    "names, reason",
+    [
+        (",", "no predicates selected"),
+        (" ", "no predicates selected"),
+        ("partition,partition", "predicates named twice: partition"),
+    ],
+)
+def test_predicates_selecting_nothing_or_twice_are_rejected(names, reason, capsys):
+    argv = ["verify", "--max-size", "2", "--lattice-max-size", "2", "--predicates", names]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+@pytest.mark.parametrize(
+    "bad", [["--max-size", "-3"], ["--lattice-max-size", "-1"]]
+)
+def test_verify_rejects_negative_sizes_before_printing(bad, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", *bad])
+    captured = capsys.readouterr()
+    assert e.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err
 
 
 def test_closure_json_parses(capsys):

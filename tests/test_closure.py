@@ -300,26 +300,37 @@ def test_reconstruct_closures_of_random_posets(data):
 
 
 def test_aut_transport_examples(vee, npos, twelve):
-    assert aut_transport(vee) == (2, 2)
-    assert aut_transport(npos) == (1, 1)
-    assert aut_transport(antichain(3)) == (6, 6)
-    assert aut_transport(twelve.poset) == (4, 4)
+    assert aut_transport(germ_closure(vee)) == (2, 2)
+    assert aut_transport(germ_closure(npos)) == (1, 1)
+    assert aut_transport(germ_closure(antichain(3))) == (6, 6)
+    assert aut_transport(germ_closure(twelve.poset)) == (4, 4)
 
 
 def test_aut_transport_of_wide_posets():
     """Generators keep the check polynomial where listing the groups
     would take 9! and 6**3 maps."""
-    assert aut_transport(antichain(9)) == (362880, 362880)
+    assert aut_transport(germ_closure(antichain(9))) == (362880, 362880)
     levels = [[f"{x}{i}" for i in range(3)] for x in "abc"]
     pairs = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
     three_by_three = Poset.from_relations([x for level in levels for x in level], pairs)
-    assert aut_transport(three_by_three) == (216, 216)
+    assert aut_transport(germ_closure(three_by_three)) == (216, 216)
 
 
 def test_aut_transport_matches_automorphism_count():
     for n in range(7):
         for p in enumerate_posets(n):
-            assert aut_transport(p) == (automorphism_count(p),) * 2, p.up
+            assert aut_transport(germ_closure(p)) == (automorphism_count(p),) * 2, p.up
+
+
+def test_aut_transport_checks_the_closure_it_is_given(vee, monkeypatch):
+    """The closure passed in is the one checked: aut_transport builds no
+    closure of its own, and a proper subset's closure has no transport."""
+    clos = germ_closure(vee)
+    monkeypatch.setattr("germclosure.closure.germ_closure", None)
+    assert aut_transport(clos) == (2, 2)
+    sub, _ = canonical_embed(vee, vee.subset(["a", "b"]))
+    with pytest.raises(ValueError):
+        aut_transport(sub)
 
 
 def test_closure_agrees_with_lower_set_route():

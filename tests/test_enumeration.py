@@ -137,6 +137,12 @@ def test_corpus_spec_validation():
         CorpusSpec(7, "posets", up_to_iso=False)
 
 
+@pytest.mark.parametrize("kind", ["posets", "lattices"])
+def test_corpus_spec_rejects_a_negative_size(kind):
+    with pytest.raises(ValueError):
+        CorpusSpec(-1, kind)
+
+
 def test_lattice_corpus_has_no_labelled_mode():
     with pytest.raises(ValueError):
         CorpusSpec(3, "lattices", up_to_iso=False)

@@ -4,10 +4,13 @@ results."""
 
 import hashlib
 
-from germclosure import CorpusSpec, PredicateReport, germ_closure, run_suite
+import germclosure.closure
+import germclosure.harness
+from germclosure import CorpusSpec, PredicateReport, corpus, germ_closure, run_suite
 from germclosure.harness import (
     PAIR_LIMIT,
     PREDICATES,
+    Context,
     _count_base_fixing_embeddings,
     describe_poset,
 )
@@ -118,3 +121,41 @@ def test_instance_stream_is_pinned():
 
     run_suite([CorpusSpec(5, "posets"), CorpusSpec(6, "lattices")], sink=sink)
     assert (count, digest.hexdigest()) == FACT_STREAM
+
+
+def _count_closures(monkeypatch) -> list:
+    """Wrap germ_closure where the closure and harness modules call it;
+    each build appends its base to the returned list."""
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return germ_closure(p)
+
+    for module in (germclosure.closure, germclosure.harness):
+        monkeypatch.setattr(module, "germ_closure", counted)
+    return built
+
+
+def test_each_corpus_poset_is_closed_once(monkeypatch):
+    """One closure per corpus poset, shared by closure-lattice,
+    reconstruction and op-duality-probe, plus one per opposite."""
+    built = _count_closures(monkeypatch)
+    run_suite([CorpusSpec(5, "posets"), CorpusSpec(6, "lattices")])
+    assert len(corpus(CorpusSpec(5, "posets"))) == 88
+    assert len(built) == 176
+
+
+def test_context_closes_each_poset_in_its_own_instance(monkeypatch):
+    """A closure is built when its instance is reached, not before, and
+    every later reader gets the same object."""
+    built = _count_closures(monkeypatch)
+    posets = corpus(CorpusSpec(3, "posets"))
+    ctx = Context(posets, [])
+    results = PREDICATES["closure-lattice"].fn(ctx)
+    for k in range(1, len(posets) + 1):
+        next(results)
+        assert built == posets[:k]
+    first, again = list(ctx.closures()), list(ctx.closures())
+    assert all(a[1] is b[1] for a, b in zip(first, again))
+    assert len(built) == len(posets)

@@ -17,7 +17,9 @@ from germclosure import (
     enumerate_posets,
     g_size,
 )
-from germclosure.repdim import alternating_sum
+import germclosure.poset
+import germclosure.repdim
+from germclosure.repdim import alternating_sum, evaluate
 
 
 def maps_covering(n_e: int, g: int, x: int) -> int:
@@ -96,6 +98,40 @@ def test_divisibility_sweep_small():
         for p in enumerate_posets(n):
             for x in range(6):
                 dimension(DimQuery(p, x))
+
+
+def test_evaluate_checks_divisibility_per_value():
+    # one point, |G| = 2: 2**3 - 1 = 7 maps, which an |Aut| of 2 cannot divide
+    assert evaluate(DimQuery(chain(1), 3), 2, 1) == 7
+    with pytest.raises(DivisibilityViolation):
+        evaluate(DimQuery(chain(1), 3), 2, 2)
+
+
+def count_closures_and_chains(monkeypatch) -> list:
+    """Wrap the closure and stabilizer-chain builders behind g_size and
+    automorphism_count; each build appends its name to the returned list."""
+    built = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(p):
+            built.append(name)
+            return fn(p)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(germclosure.repdim, "germ_closure")
+    count(germclosure.poset, "stabilizer_chain")
+    return built
+
+
+def test_dimension_table_closes_once(monkeypatch):
+    built = count_closures_and_chains(monkeypatch)
+    for x_max in (2, 30):
+        built.clear()
+        assert len(dimension_table(antichain(10), x_max, orientation="eop")) == x_max + 1
+        assert sorted(built) == ["germ_closure", "stabilizer_chain"]
 
 
 def test_divisibility_violation_is_loud():
