@@ -149,6 +149,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    if args.x_min > args.x_max:
+        print(f"--x-min {args.x_min} is above --x-max {args.x_max}", file=sys.stderr)
+        return 2
     doc, p = _load(args)
     e = p if args.orientation == "e" else p.opposite()
     g = g_size(e)

@@ -4,9 +4,9 @@ Unlabelled posets are grown one size at a time, in the spirit of McKay's
 isomorph-free exhaustive generation: every finite poset has a maximal
 element, so each class on n elements arises from a representative on
 n-1 elements by adding a new maximal element whose down-set is a lower
-set of it. The candidates are deduplicated through a canonical key, the
-minimum relation matrix over all relabelings that respect the refined
-invariant classes. Every representative is naturally labelled: i < j in
+set of it. iso_classes keeps the first candidate of each isomorphism
+class, checked by poset.embeddings, the package's one map search. Every
+representative is labelled a, b, c, ... and naturally labelled: i < j in
 the order implies i < j as indices.
 
 Lattices on n >= 2 elements are bounded posets, as in Heitzig and
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotALattice
 from .lattice import Lattice
-from .poset import Poset, bit_indices, down_closed_masks, mask_of, refined_invariants, transpose
+from .poset import Poset, bit_indices, class_candidates, down_closed_masks, embeddings
+from .poset import mask_of, refined_invariants
 
 POSET_SIZE_CAP = 7
 LATTICE_SIZE_CAP = 8
@@ -37,9 +38,6 @@ LATTICE_SIZE_CAP = 8
 LABELLED_POSET_SIZE_CAP = 6
 
 _ALPHABET = "abcdefgh"
-
-# (up-rows, down-rows) of one poset
-Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _labels(n: int) -> list[str]:
@@ -102,59 +100,55 @@ def labelled_posets_by_filtering(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def canonical_key(up: Sequence[int]) -> tuple[int, ...]:
-    """Minimum up-row tuple over the invariant-respecting relabelings.
+    """The least up-row tuple over all n! relabelings: identical for
+    isomorphic posets, distinct otherwise. The brute-force definition
+    that iso_classes is tested against; nothing in the package calls it."""
 
-    Identical for isomorphic posets, distinct otherwise; the restriction
-    to class-preserving permutations is sound because any isomorphism
-    preserves the refined invariants.
+    def relabeled(perm: tuple[int, ...]) -> tuple[int, ...]:
+        rows = [0] * len(up)
+        for i, row in enumerate(up):
+            rows[perm[i]] = mask_of(perm[j] for j in bit_indices(row))
+        return tuple(rows)
+
+    return min(map(relabeled, permutations(range(len(up)))))
+
+
+def iso_classes(posets: Iterable[Poset]) -> list[Poset]:
+    """The first poset of each isomorphism class, in input order.
+
+    Posets are grouped by their sorted refined invariants, which
+    isomorphic posets share; one is kept unless embeddings finds an
+    isomorphism onto a poset already kept in its group.
     """
-    n = len(up)
-    inv = refined_invariants(up, transpose(up, n))
-    classes: dict = {}
-    for i, v in enumerate(inv):
-        classes.setdefault(v, []).append(i)
-    blocks = [classes[v] for v in sorted(classes)]
-    positions = []
-    start = 0
-    for b in blocks:
-        positions.append(list(range(start, start + len(b))))
-        start += len(b)
-    best = None
-    for combo in product(*(permutations(pos) for pos in positions)):
-        pos_of = [0] * n
-        for block, placed in zip(blocks, combo):
-            for elem, p in zip(block, placed):
-                pos_of[elem] = p
-        rows = [0] * n
-        for i in range(n):
-            rows[pos_of[i]] = mask_of(pos_of[j] for j in bit_indices(up[i]))
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
+    kept: list[Poset] = []
+    groups: dict[tuple, list[tuple[Poset, list]]] = {}
+    for p in posets:
+        inv = refined_invariants(p.up, p.down)
+        group = groups.setdefault(tuple(sorted(inv)), [])
+        if not any(
+            embeddings(p, q, class_candidates(inv, qinv), limit=1) for q, qinv in group
+        ):
+            group.append((p, inv))
+            kept.append(p)
+    return kept
 
 
-def _extend_by_maximal(level: list[Rows]) -> list[Rows]:
+def _extend_by_maximal(level: list[Poset]) -> list[Poset]:
     """The unlabelled posets on k+1 elements, from those on k elements:
     each gains a new maximal element k above one of its lower sets."""
-    reps: dict[tuple[int, ...], Rows] = {}
-    for up, down in level:
-        k = len(up)
-        bit = 1 << k
-        for d_mask in down_closed_masks(down):
-            new_up = tuple(
-                row | bit if d_mask >> j & 1 else row for j, row in enumerate(up)
-            ) + (bit,)
-            key = canonical_key(new_up)
-            if key not in reps:
-                reps[key] = (new_up, down + (d_mask | bit,))
-    return list(reps.values())
+    candidates = []
+    for p in level:
+        bit = 1 << p.n
+        for d_mask in down_closed_masks(p.down):
+            up = tuple(row | bit if d_mask >> j & 1 else row for j, row in enumerate(p.up))
+            candidates.append(Poset(_labels(p.n + 1), up + (bit,)))
+    return iso_classes(candidates)
 
 
-def _poset_levels(max_n: int) -> Iterator[list[Rows]]:
+def _poset_levels(max_n: int) -> Iterator[list[Poset]]:
     """The unlabelled posets on 0, 1, ..., max_n elements, one list per
     size, each built once from the one before."""
-    level: list[Rows] = [((), ())]
+    level = [Poset([], ())]
     for n in range(max_n + 1):
         if n:
             level = _extend_by_maximal(level)
@@ -173,22 +167,21 @@ def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
     per isomorphism class unless up_to_iso is off; every labelling only up
     to LABELLED_POSET_SIZE_CAP elements."""
     _check_poset_size(n, up_to_iso)
-    labels = _labels(n)
     if not up_to_iso:
-        return [Poset(labels, up) for up in labelled_posets_by_extension(n)]
+        return [Poset(_labels(n), up) for up in labelled_posets_by_extension(n)]
     levels = list(_poset_levels(n))
-    return [Poset(labels, up) for up, _ in levels[-1]] if levels else []
+    return levels[-1] if levels else []
 
 
-def _bounded_lattices(level: list[Rows]) -> list[Lattice]:
+def _bounded_lattices(level: list[Poset]) -> list[Lattice]:
     """The lattices on k+2 elements: a bottom (element 0) and a top
     (element k+1) around each poset on k elements, where that gives a
     lattice."""
     out = []
-    for up, _ in level:
-        n = len(up) + 2
+    for u in level:
+        n = u.n + 2
         top = 1 << (n - 1)
-        rows = ((1 << n) - 1,) + tuple(row << 1 | top for row in up) + (top,)
+        rows = ((1 << n) - 1,) + tuple(row << 1 | top for row in u.up) + (top,)
         try:
             out.append(Lattice.from_poset(Poset(_labels(n), rows)))
         except NotALattice:
@@ -242,8 +235,4 @@ def corpus(spec: CorpusSpec) -> list:
         return [
             p for n in range(spec.max_size + 1) for p in enumerate_posets(n, False)
         ]
-    return [
-        Poset(_labels(len(up)), up)
-        for level in _poset_levels(spec.max_size)
-        for up, _ in level
-    ]
+    return [p for level in _poset_levels(spec.max_size) for p in level]

@@ -311,14 +311,15 @@ def antichain(n: int, prefix: str = "u") -> Poset:
 
 # -- isomorphism search ----------------------------------------------------
 # embeddings is the one map search. isomorphisms lists maps; stabilizer_chain keeps
-# one automorphism per orbit point, all that |Aut| and aut_transport need.
+# one automorphism per orbit point, all that |Aut| and aut_transport need;
+# enumeration.iso_classes asks it for one isomorphism to deduplicate the corpus.
 
 
 def refined_invariants(up: Sequence[int], down: Sequence[int]) -> list:
     """Per-element order invariants, refined twice by neighborhood multisets.
 
-    Comparable nested tuples, identical across isomorphic posets; used to
-    prune isomorphism search and to order canonical-form classes.
+    Comparable nested tuples, identical across isomorphic posets; they prune
+    the map search (class_candidates) and group the posets iso_classes compares.
     """
     n = len(up)
     strict = [
@@ -332,6 +333,12 @@ def refined_invariants(up: Sequence[int], down: Sequence[int]) -> list:
             for i, (lo, hi) in enumerate(strict)
         ]
     return inv
+
+
+def class_candidates(pinv: Sequence, qinv: Sequence) -> list[int]:
+    """Per element i of p, the mask of the elements j of q with qinv[j] ==
+    pinv[i]: the images an isomorphism p -> q may give i."""
+    return [mask_of(j for j, w in enumerate(qinv) if w == v) for v in pinv]
 
 
 def embeddings(
@@ -382,8 +389,7 @@ def isomorphisms(p: Poset, q: Poset, limit: Optional[int] = None) -> list[tuple[
     qinv = refined_invariants(q.up, q.down)
     if sorted(pinv) != sorted(qinv):
         return []
-    candidates = [mask_of(j for j in range(q.n) if qinv[j] == v) for v in pinv]
-    return embeddings(p, q, candidates, limit)
+    return embeddings(p, q, class_candidates(pinv, qinv), limit)
 
 
 def stabilizer_chain(p: Poset) -> tuple[int, list[tuple[int, ...]]]:
@@ -391,7 +397,7 @@ def stabilizer_chain(p: Poset) -> tuple[int, list[tuple[int, ...]]]:
     orbit of t under the automorphisms fixing 0..t-1 by one limit=1 search; the
     automorphisms found, a transversal per level, together generate the group."""
     inv = refined_invariants(p.up, p.down)
-    candidates = [mask_of(j for j in range(p.n) if inv[j] == v) for v in inv]
+    candidates = class_candidates(inv, inv)
     count, generators = 1, []
     for t in range(p.n):
         level = len(generators)

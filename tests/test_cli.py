@@ -178,6 +178,20 @@ def test_dim_rejects_bad_numbers_before_printing(bad, capsys):
     assert "usage:" in captured.err
 
 
+def test_dim_rejects_x_min_above_x_max(capsys):
+    argv = ["dim", str(INPUTS / "vee.txt"), "--x-min", "5", "--x-max", "2"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--x-min 5 is above --x-max 2" in err
+
+
+def test_dim_with_equal_bounds_prints_one_row(capsys):
+    argv = ["dim", str(INPUTS / "vee.txt"), "--x-min", "3", "--x-max", "3"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["  |X|=3: 3"]
+
+
 def test_dim_on_a_wide_antichain(tmp_path, capsys):
     doc = tmp_path / "anti10.txt"
     labels = " ".join(f"a{i}" for i in range(10))

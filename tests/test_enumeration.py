@@ -1,6 +1,9 @@
 """Poset and lattice generators: the two labelled strategies, the
 unlabelled generators checked against them, and the corpus plumbing."""
 
+import hashlib
+from functools import cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,12 +17,18 @@ from germclosure import (
     labelled_posets_by_extension,
     labelled_posets_by_filtering,
 )
-from germclosure.enumeration import canonical_key
-from germclosure.poset import Poset, isomorphisms
+from germclosure.enumeration import canonical_key, iso_classes
+from germclosure.poset import Poset, isomorphisms, refined_invariants
 
 LABELLED = [1, 1, 3, 19, 219]
 UNLABELLED = [1, 1, 2, 5, 16]
 LATTICES = [0, 1, 1, 1, 2, 5]
+
+# count and sha256 of the corpus, one repr(up) line per item
+CORPUS_PINS = {
+    "posets": (2451, "b4448dfe24bba7bce9173d9f5f50ab66fa59bce04be06babaae173752a9fc483"),
+    "lattices": (300, "82ef2a7bce0a27a34cb42bb10f06b4779430f81358f5ef768c8a7691fbe74b60"),
+}
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -47,8 +56,10 @@ def test_lattices_at_six():
 
 @pytest.mark.parametrize("n", range(6))
 def test_unlabelled_posets_match_labelled_classes(n):
-    reps = {canonical_key(p.up) for p in enumerate_posets(n)}
-    assert reps == {canonical_key(up) for up in labelled_posets_by_extension(n)}
+    reps = enumerate_posets(n)
+    labelled = enumerate_posets(n, up_to_iso=False)
+    assert iso_classes(reps + labelled) == reps
+    assert len(iso_classes(labelled)) == len(reps)
 
 
 def _is_lattice_by_brute_force(up, n):
@@ -79,13 +90,16 @@ def _is_lattice_by_brute_force(up, n):
 @pytest.mark.parametrize("n", range(7))
 def test_bounded_lattices_match_filtered_labelled_stream(n):
     """The bounded-poset lattices against the labelled stream filtered
-    for lattices by brute force and reduced to canonical keys."""
-    reps = {canonical_key(t.poset.up) for t in enumerate_lattices(n)}
-    assert reps == {
-        canonical_key(up)
+    for lattices by brute force and reduced to isomorphism classes."""
+    reps = [t.poset for t in enumerate_lattices(n)]
+    labels = list("abcdefgh"[:n])
+    labelled = [
+        Poset(labels, up)
         for up in labelled_posets_by_extension(n)
         if _is_lattice_by_brute_force(up, n)
-    }
+    ]
+    assert iso_classes(reps + labelled) == reps
+    assert len(iso_classes(labelled)) == len(reps)
 
 
 def test_representatives_pairwise_nonisomorphic():
@@ -115,6 +129,75 @@ def test_canonical_key_is_relabeling_invariant(perm, pick):
                 row |= 1 << perm[j]
         relabeled[perm[i]] = row
     assert canonical_key(tuple(relabeled)) == canonical_key(tuple(p.up))
+
+
+@pytest.mark.parametrize(
+    "reps",
+    [corpus(CorpusSpec(5)), [t.poset for t in corpus(CorpusSpec(6, "lattices"))]],
+    ids=["posets<=5", "lattices<=6"],
+)
+def test_brute_force_keys_of_representatives_are_distinct(reps):
+    keys = [canonical_key(p.up) for p in reps]
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_labelled_poset_has_the_key_of_one_representative(n):
+    keys = [canonical_key(p.up) for p in enumerate_posets(n)]
+    for up in labelled_posets_by_extension(n):
+        assert keys.count(canonical_key(up)) == 1
+
+
+@cache
+def _representatives(n):
+    return enumerate_posets(n)
+
+
+def _relabeled(p, perm):
+    """p with element i renamed perm[i], labels kept in place."""
+    up = [0] * p.n
+    for i in range(p.n):
+        up[perm[i]] = sum(1 << perm[j] for j in range(p.n) if p.up[i] >> j & 1)
+    return Poset(p.labels, up)
+
+
+@given(st.data())
+def test_iso_classes_merges_relabelings(data):
+    n = data.draw(st.integers(0, 6))
+    reps = _representatives(n)
+    p = data.draw(st.sampled_from(reps))
+    q = _relabeled(p, data.draw(st.permutations(range(n))))
+    assert iso_classes([q, p]) == [q]
+    assert iso_classes(reps + [q]) == reps
+
+
+def test_iso_classes_separates_posets_with_equal_invariants():
+    """Two disjoint 2+2 bowties and the crown on 8 points: every element
+    has two covers or two co-covers, so the refined invariants agree (they
+    separate every class on up to 7 points), yet only the crown is
+    connected. The map search keeps both and still merges a relabeling."""
+    bowties = Poset(list("abcdefgh"), (49, 50, 196, 200, 16, 32, 64, 128))
+    crown = Poset(list("abcdefgh"), (49, 82, 164, 200, 16, 32, 64, 128))
+    moved = _relabeled(crown, (1, 0, 2, 3, 4, 5, 6, 7))
+    assert moved != crown
+    invariants = [sorted(refined_invariants(p.up, p.down)) for p in (bowties, crown)]
+    assert invariants[0] == invariants[1]
+    assert iso_classes([bowties, crown, moved]) == [bowties, crown]
+
+
+def _digest(rows) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    for up in rows:
+        digest.update(repr(up).encode() + b"\n")
+    return len(rows), digest.hexdigest()
+
+
+def test_corpora_are_pinned():
+    """The representatives and their order stay put, row for row."""
+    posets = [p.up for p in corpus(CorpusSpec(7))]
+    lattices = [t.poset.up for t in corpus(CorpusSpec(8, "lattices"))]
+    assert _digest(posets) == CORPUS_PINS["posets"]
+    assert _digest(lattices) == CORPUS_PINS["lattices"]
 
 
 def test_enumerated_lattices_are_lattices():
