@@ -6,6 +6,29 @@ everything strictly above it; the cone above u splits as [u,v] plus the
 strict cone above v, and dually the cone below v splits as the strict cone
 below u plus [u,v]; and [u,v] is totally ordered. The v is then unique
 (the cogerm) and [u,v] is the connecting chain.
+
+The germ finder, germs_within, walks bridge covers instead of trying
+every v >= u. In a finite poset d is the only upper cover of c exactly
+when ]c,*[ = [d,*[, and dually for lower covers. Call c < d a bridge
+when d is the only upper cover of c and c the only lower cover of d.
+Then the two cone splits plus "[u,v] is a chain" hold exactly when
+u = c0 < c1 < ... < ck = v is a path of bridges:
+
+- If [u,v] is a chain c0 < ... < ck and the cones split, take x > c_i
+  with i < k. Either x lies in [u,v], so x >= c_{i+1}, or x > v. So
+  ]c_i,*[ = [c_{i+1},*[, and c_{i+1} is c_i's only upper cover. Dually,
+  c_i is c_{i+1}'s only lower cover.
+- Conversely, along a bridge path ]c_i,*[ = [c_{i+1},*[ and
+  ]*,c_{i+1}[ = ]*,c_i]. Chaining these gives [u,*[ = {c0..ck} + ]v,*[
+  and ]*,v] = ]*,u[ + {c0..ck}, so [u,v] = {c0..ck}, a chain.
+
+An element v with exactly one upper cover d has ]v,*[ = [d,*[, whose
+inf is d, not v. So a cogerm never has exactly one upper cover, and the
+only candidate for v is the element where the bridge walk from u stops.
+Dually, an element with exactly one lower cover is never a germ. On a
+subposet all of this holds for the rows restricted to its mask, and both
+cover tests are equalities of such rows, so every step of the walk is a
+dictionary lookup or one row comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +55,9 @@ class GermRecord:
 def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) -> list[int]:
     """All v making u a germ of the subposet on mask, whose order is the
     ambient rows up/down restricted to mask; indices stay ambient. The
-    defining conditions force at most one v."""
+    defining conditions force at most one v. This scan over every v is
+    the definition, the reference that germs_within's walk is checked
+    against; cogerm_candidates and is_germ read it."""
     up_u = up[u] & mask
     below = down[u] & mask & ~(1 << u)
     # u = sup ]*,u[ iff the bounds match u's row
@@ -57,14 +82,33 @@ def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) ->
 def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tuple[int, int]]:
     """(germ, cogerm) for every germ of the subposet on mask, ascending
     by germ, in ambient indices. No subposet is built. Raises ValueError
-    for a mask with bits outside the rows."""
+    for a mask with bits outside the rows.
+
+    The cogerm is found by the bridge walk of the module docstring; the
+    scan over every v, kept as cogerms_within, is the reference."""
     check_subset(len(up), mask)
+    # masked rows are distinct, so each names its element
+    by_up = {up[i] & mask: i for i in bit_indices(mask)}
+    by_down = {down[i] & mask: i for i in bit_indices(mask)}
     out = []
     for u in bit_indices(mask):
-        cands = cogerms_within(up, down, mask, u)
-        assert len(cands) <= 1, f"germ {u} admits {len(cands)} cogerms"
-        if cands:
-            out.append((u, cands[0]))
+        below = down[u] & mask & ~(1 << u)
+        # one lower cover c makes ]*,u[ = ]*,c], whose sup is c
+        if below in by_down:
+            continue
+        up_u = up[u] & mask
+        if intersect_rows(up, below, mask) != up_u:
+            continue
+        # climb while v's one upper cover d has v as its one lower cover
+        v, above = u, up_u & ~(1 << u)
+        while (d := by_up.get(above)) is not None:
+            if down[d] & mask & ~(1 << d) != down[v] & mask:
+                # v has one upper cover d, so inf ]v,*[ is d
+                break
+            v, above = d, up[d] & mask & ~(1 << d)
+        else:
+            if intersect_rows(down, above, mask) == down[v] & mask:
+                out.append((u, v))
     return out
 
 

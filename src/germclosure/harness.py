@@ -104,14 +104,20 @@ def _extension_pairs(ctx: Context) -> Iterator[tuple[Poset, int, str]]:
 
 
 def _pred_cogerm_uniqueness(ctx: Context) -> Iterator[Result]:
-    """Every germ admits exactly one cogerm."""
+    """Every germ admits exactly one cogerm, found by scanning every v,
+    and the germ finder's bridge walk returns that cogerm."""
     for p in ctx.posets:
+        walked = dict(germs_within(p.up, p.down, p.full_mask))
         for u in range(p.n):
             cands = cogerm_candidates(p, u)
+            walk = [walked[u]] if u in walked else []
+            detail = f"cogerms {[p.labels[v] for v in cands]}"
+            if walk != cands:
+                detail += f"; the walk gives {[p.labels[v] for v in walk]}"
             yield (
                 f"{describe_poset(p)}; u={p.labels[u]}",
-                len(cands) <= 1,
-                f"cogerms {[p.labels[v] for v in cands]}",
+                len(cands) <= 1 and walk == cands,
+                detail,
             )
 
 

@@ -14,14 +14,16 @@ from germclosure import (
     classify,
     cogerm_candidates,
     detects,
+    enumerate_lattices,
     enumerate_posets,
+    germ_closure,
     germs_within,
     grm,
     grm_mask,
     is_germ,
     is_germ_extension,
 )
-from germclosure.germs import germ_cut_witness, lambda_witness
+from germclosure.germs import cogerms_within, germ_cut_witness, lambda_witness
 from germclosure.poset import bit_indices, mask_of
 from test_poset import random_dags
 
@@ -73,7 +75,8 @@ def naive_germs(p: Poset) -> dict[str, set[str]]:
 
 
 def test_grm_matches_naive_oracle_exhaustively():
-    for p in corpus_posets():
+    lattices = [t.poset for n in range(8) for t in enumerate_lattices(n)]
+    for p in corpus_posets(6) + lattices:
         oracle = naive_germs(p)
         got = {rec.labels()[0]: {rec.labels()[1]} for rec in grm(p)}
         assert got == oracle, f"disagreement on {p!r}"
@@ -265,12 +268,54 @@ def test_grm_mask_agrees_with_records(npos, vee):
 @given(random_dags(max_n=12), st.integers(min_value=0, max_value=(1 << 12) - 1))
 def test_germs_within_matches_grm_of_subposet(data, bits):
     """The masked germ finder on ambient rows agrees with grm of the
-    induced subposet, mapped back to ambient indices."""
+    induced subposet, mapped back to ambient indices. Both sides run the
+    same walk; the scan comparisons above are what check it."""
     p = Poset.from_relations(*data)
     mask = bits & p.full_mask
     keep = list(bit_indices(mask))
     expected = [(keep[r.germ], keep[r.cogerm]) for r in grm(p.full_subposet(mask))]
     assert germs_within(p.up, p.down, mask) == expected
+
+
+def _scanned_germs(up, down, mask):
+    """(germ, cogerm) from the definitional scan over every v, one pair
+    per cogerm found."""
+    return [(u, v) for u in bit_indices(mask) for v in cogerms_within(up, down, mask, u)]
+
+
+@st.composite
+def ordinal_sums(draw, max_points=64):
+    """Ordinal sums of antichains of width 1 to 3, with runs of singleton
+    levels, so bridge paths run long; labels shuffled so indices are not
+    a linear extension. A single run is a chain."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 12)), max_size=12))
+    widths = [width for width, run in runs for _ in range(run if width == 1 else 1)]
+    while sum(widths) > max_points:
+        widths.pop()
+    levels = [[f"l{k}_{i}" for i in range(w)] for k, w in enumerate(widths)]
+    rels = [(a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi]
+    return draw(st.permutations([a for level in levels for a in level])), rels
+
+
+def _closure_lattice(data) -> Poset:
+    return germ_closure(Poset.from_relations(*data)).poset
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        random_dags(max_n=12).map(lambda data: Poset.from_relations(*data)),
+        ordinal_sums().map(lambda data: Poset.from_relations(*data)),
+        random_dags(max_n=6).map(_closure_lattice),
+    ),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_germs_within_matches_definitional_scan(p, bits):
+    """The bridge walk finds the germs and cogerms the scan over every v
+    finds: on random orders, on long chains of bridges and on closure
+    lattices, each whole, without its germs, and on a random subset."""
+    for mask in (p.full_mask, p.full_mask & ~grm_mask(p), bits & p.full_mask):
+        assert germs_within(p.up, p.down, mask) == _scanned_germs(p.up, p.down, mask)
 
 
 def test_grm_cache_is_bounded():

@@ -6,7 +6,7 @@ import hashlib
 
 import germclosure.closure
 import germclosure.harness
-from germclosure import CorpusSpec, PredicateReport, corpus, germ_closure, run_suite
+from germclosure import CorpusSpec, PredicateReport, corpus, germ_closure, grm, run_suite
 from germclosure.harness import (
     PAIR_LIMIT,
     PREDICATES,
@@ -121,6 +121,24 @@ def test_instance_stream_is_pinned():
 
     run_suite([CorpusSpec(5, "posets"), CorpusSpec(6, "lattices")], sink=sink)
     assert (count, digest.hexdigest()) == FACT_STREAM
+
+
+def test_cogerm_uniqueness_fails_when_the_walk_misses_a_germ(monkeypatch):
+    """The predicate checks the germ finder's walk against the scan, so a
+    finder that drops a germ fails it, with or without -O."""
+    walk = germclosure.harness.germs_within
+
+    def drop_last(up, down, mask):
+        return walk(up, down, mask)[:-1]
+
+    monkeypatch.setattr(germclosure.harness, "germs_within", drop_last)
+    [report] = run_suite(CorpusSpec(3, "posets"), predicates=["cogerm-uniqueness"])
+    # each poset with a germ loses one
+    assert len(report.failures) == sum(1 for p in corpus(CorpusSpec(3, "posets")) if grm(p))
+    assert report.failures[0] == (
+        "elements: a; relations: ; u=a",
+        "cogerms ['a']; the walk gives []",
+    )
 
 
 def _count_closures(monkeypatch) -> list:
