@@ -37,7 +37,6 @@ from .embed import (
     irr_closure_equals_g_t,
     g_sharp,
     g_t,
-    ghat_t,
     is_germ_extensible,
     unique_base,
     verify_partition,
@@ -48,7 +47,6 @@ from .enumeration import (
     enumerate_lattices,
     enumerate_posets,
     labelled_posets_by_extension,
-    labelled_posets_by_filtering,
 )
 from .errors import (
     CapExceeded,
@@ -56,6 +54,7 @@ from .errors import (
     DivisibilityViolation,
     DocumentSyntaxError,
     DuplicateLabel,
+    InvariantViolation,
     NotAGermExtension,
     NotALattice,
     PosetError,
@@ -66,25 +65,19 @@ from .germs import (
     GermCutCase,
     GermRecord,
     LambdaCase,
-    classify,
-    cogerm_candidates,
     detects,
     germs_within,
     grm,
     grm_mask,
-    is_germ,
     is_germ_extension,
 )
 from .harness import PREDICATES, PredicateReport, run_suite
 from .lattice import (
     Lattice,
-    join_irreducibles,
     lambda_e,
     lower_set_lattice,
     r_inf,
-    r_op,
     sigma_inf,
-    sigma_op,
 )
 from .poset import Poset, antichain, automorphism_count, chain, isomorphisms
 from .repdim import DimQuery, dimension, dimension_table, g_size

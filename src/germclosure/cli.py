@@ -3,7 +3,7 @@
 Subcommands wrap the library one-to-one and print deterministic text, so
 the outputs freeze well into golden files. Exit codes: 0 success, 1 for
 domain errors (cycles, non-lattices, bad subsets), 2 for unparseable
-documents, 3 for blown enumeration caps.
+documents, 3 for blown enumeration caps, 4 for a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .documents import (
 from .dot import to_dot
 from .embed import g_sharp, is_germ_extensible, unique_base, verify_partition
 from .enumeration import CorpusSpec
-from .errors import CapExceeded, DocumentSyntaxError, PosetError
-from .germs import GermCutCase, LambdaCase, grm
+from .errors import CapExceeded, DocumentSyntaxError, InvariantViolation, PosetError
+from .germs import LambdaCase, grm
 from .harness import PREDICATES, run_suite
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import Poset, automorphism_count, set_label
@@ -300,6 +300,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PosetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InvariantViolation as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import NotAGermExtension
+from .errors import InvariantViolation, NotAGermExtension
 from .germs import (
-    ElementCase, GermCutCase, GermRecord, LambdaCase, detects, germs_within, grm, grm_mask,
-    is_germ_extension,
+    ElementCase, GermCutCase, LambdaCase, detects, germs_within, grm, grm_mask, is_germ_extension,
 )
 from .lattice import Lattice
 from .poset import (
@@ -47,13 +46,13 @@ def lambda_sets(u: Poset) -> list[int]:
     return sorted_by_size(_cuts(u.down, u.full_mask))
 
 
-def ghat_sets(u: Poset) -> list[tuple[int, GermRecord]]:
-    """The strict lower cut of each germ of u, with the germ as witness.
+def ghat_sets(u: Poset) -> list[int]:
+    """The strict lower cut of each germ of u, in germ order.
 
     Distinct germs cannot share a cut (the germ is the sup of its cut),
     but the list keeps one entry per germ so a collapse would be visible.
     """
-    return [(u.strict_down(rec.germ), rec) for rec in grm(u)]
+    return [u.strict_down(rec.germ) for rec in grm(u)]
 
 
 def closure_masks(
@@ -68,8 +67,10 @@ def closure_masks(
     case_of: dict[int, ElementCase] = {m: LambdaCase(intersect_rows(up, m, u_mask)) for m in cuts}
     for r, _ in germs_within(up, down, u_mask):
         cut = down[r] & u_mask & ~(1 << r)
-        assert cut not in cuts, "cut families overlap"
-        assert cut not in case_of, "two germs share a strict lower cut"
+        if cut in cuts:
+            raise InvariantViolation("cut families overlap")
+        if cut in case_of:
+            raise InvariantViolation("two germs share a strict lower cut")
         case_of[cut] = GermCutCase(r)
     masks = tuple(sorted_by_size(case_of))
     return masks, tuple(case_of[m] for m in masks)
@@ -112,10 +113,6 @@ class GermClosure:
     def _by_mask(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.masks)}
 
-    def meet(self, i: int, j: int) -> int:
-        """Meets are plain intersections."""
-        return self.index_of(self.masks[i] & self.masks[j])
-
     def join(self, i: int, j: int) -> int:
         """Join of two elements: the intersection of every element
         containing both, which the closure always contains (U among them)."""
@@ -142,8 +139,10 @@ def canonical_embed(s: Poset, u_mask: int) -> tuple[GermClosure, list[int]]:
         raise NotAGermExtension("the ambient poset does not germ-extend the given subset")
     closure = GermClosure(s, u_mask, *closure_masks(s.up, s.down, u_mask))
     j = [closure.index_of(u_mask & row) for row in s.down]
-    assert len(set(j)) == s.n, "canonical embedding is not injective"
-    assert detects(s, u_mask), "canonical embedding does not preserve the order both ways"
+    if len(set(j)) != s.n:
+        raise InvariantViolation("canonical embedding is not injective")
+    if not detects(s, u_mask):
+        raise InvariantViolation("canonical embedding does not preserve the order both ways")
     return closure, j
 
 
@@ -152,19 +151,18 @@ def reconstruct_from_lattice(t: Lattice) -> tuple[GermClosure, list[int]]:
     the isomorphism t ≅ G(u) for u = t - Grm(t).
 
     Returns the closure of u in t's indices (base t.poset, subset u) and
-    the index map t -> closure, asserted to be an order isomorphism.
+    the index map t -> closure, checked to be an order isomorphism.
     """
     t_poset = t.poset
     closure, j = canonical_embed(t_poset, t_poset.full_mask & ~grm_mask(t_poset))
-    assert closure.n == t_poset.n, (
-        f"closure has {closure.n} elements but the input has {t_poset.n}"
-    )
+    if closure.n != t_poset.n:
+        raise InvariantViolation(f"closure has {closure.n} elements but the input has {t_poset.n}")
     return closure, j
 
 
 def aut_transport(closure: GermClosure) -> tuple[int, int]:
     """|Aut(u)| and |Aut(G(u))| for the closure of all of u = closure.base,
-    asserted equal via the two transports on the generators of both
+    checked equal via the two transports on the generators of both
     stabilizer chains: each base generator lifts to an automorphism of G(u)
     extending it on the embedded base, and each closure generator fixes the
     embedded base and restricts to an automorphism of u. Generators suffice
@@ -178,14 +176,16 @@ def aut_transport(closure: GermClosure) -> tuple[int, int]:
     for alpha in gens_u:
         moved = (mask_of(alpha[i] for i in bit_indices(m)) for m in closure.masks)
         lift = [1 << by_mask[m] if m in by_mask else 0 for m in moved]
-        assert embeddings(g, g, lift, limit=1), "a lifted action is not an automorphism"
-        extends = all(lift[embed[k]] == 1 << embed[a] for k, a in enumerate(alpha))
-        assert extends, "a lift does not extend its base automorphism"
+        if not embeddings(g, g, lift, limit=1):
+            raise InvariantViolation("a lifted action is not an automorphism")
+        if any(lift[embed[k]] != 1 << embed[a] for k, a in enumerate(alpha)):
+            raise InvariantViolation("a lift does not extend its base automorphism")
     back = {e: k for k, e in enumerate(embed)}
     for gamma in gens_g:
-        image = {gamma[e] for e in embed}
-        assert image == back.keys(), "a closure automorphism moves the embedded base"
-        restricts = embeddings(u, u, [1 << back[gamma[e]] for e in embed], limit=1)
-        assert restricts, "a restricted automorphism does not preserve the base order"
-    assert order_u == order_g, f"|Aut(base)| = {order_u} but |Aut(closure)| = {order_g}"
+        if {gamma[e] for e in embed} != back.keys():
+            raise InvariantViolation("a closure automorphism moves the embedded base")
+        if not embeddings(u, u, [1 << back[gamma[e]] for e in embed], limit=1):
+            raise InvariantViolation("a restricted automorphism does not preserve the base order")
+    if order_u != order_g:
+        raise InvariantViolation(f"|Aut(base)| = {order_u} but |Aut(closure)| = {order_g}")
     return order_u, order_g

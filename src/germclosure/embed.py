@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closure import closure_masks
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantViolation
 from .germs import GermCutCase, germs_within
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import bit_indices, check_subset, mask_of, sorted_by_size
@@ -52,9 +52,8 @@ def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
     extensible = not violating
     g_bar = None
     if extensible:
-        assert len(set(nu_image)) == len(masks), (
-            "the join criterion holds but ν identifies two closure elements"
-        )
+        if len(set(nu_image)) != len(masks):
+            raise InvariantViolation("the join criterion holds but ν identifies two members")
         g_bar = mask_of(nu_image)
     return EmbedResult(u_mask, extensible, masks, nu_image, g_bar, violating)
 
@@ -66,16 +65,9 @@ def g_sharp(t: Lattice) -> int:
     )
 
 
-def ghat_t(t: Lattice) -> int:
-    return g_sharp(t) & ~lambda_e(t)
-
-
 def g_t(t: Lattice) -> int:
-    """G_T = ΛE together with Ĝ_T; the two parts never meet."""
-    lam = lambda_e(t)
-    hat = g_sharp(t) & ~lam
-    assert lam & hat == 0
-    return lam | hat
+    """G_T = ΛE together with Ĝ_T = G♯ - ΛE, that is ΛE ∪ G♯."""
+    return lambda_e(t) | g_sharp(t)
 
 
 def alpha(t: Lattice, u_mask: int, x: int) -> int:
@@ -108,8 +100,10 @@ def _base_result(t: Lattice, s_mask: int, bases: dict[int, EmbedResult]) -> Embe
     res = bases.get(u_mask)
     if res is None:
         res = bases[u_mask] = is_germ_extensible(t, u_mask)
-        assert res.extensible, "the base produced by germ removal is not extensible"
-    assert s_mask & ~res.g_bar == 0, "S escapes the interval [U, Ḡ(U)]"
+        if not res.extensible:
+            raise InvariantViolation("the base produced by germ removal is not extensible")
+    if s_mask & ~res.g_bar:
+        raise InvariantViolation("S escapes the interval [U, Ḡ(U)]")
     return res
 
 
@@ -145,9 +139,8 @@ def verify_partition(t: Lattice) -> list[PartitionCell]:
         members = groups[u_mask]
         top = bases[u_mask].g_bar
         # members are distinct and inside [U, Ḡ(U)], so the count decides fullness
-        assert len(members) == 1 << (top.bit_count() - u_mask.bit_count()), (
-            "a cell misses part of its interval"
-        )
+        if len(members) != 1 << (top.bit_count() - u_mask.bit_count()):
+            raise InvariantViolation("a cell misses part of its interval")
         cells.append(PartitionCell(u_mask, top, tuple(members)))
-    assert sum(len(c.members) for c in cells) == 1 << n
+    # each subset joined exactly one group, so the cells cover all 2^n
     return cells

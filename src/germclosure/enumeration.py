@@ -14,17 +14,15 @@ Reinhold: a bottom and a top around a representative on n-2 elements,
 kept when the result is a lattice. Two bounded posets are isomorphic
 exactly when their interiors are, so these need no deduplication.
 
-Two independent generators produce every labelled poset on n elements:
-one extends each poset on n-1 elements by a new element with a chosen
-(down-set, up-set) pair, the other filters the 3^C(n,2) antisymmetric
-candidate relations for transitivity. They must emit identical sets;
-they back the labelled mode and serve the tests as oracles.
+The labelled mode lists every labelled poset on n elements by extending
+each labelled poset on n-1 elements by a new element with a chosen
+(down-set, up-set) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotALattice
@@ -73,30 +71,6 @@ def labelled_posets_by_extension(n: int) -> Iterator[tuple[int, ...]]:
         level = nxt
     for _, up in level:
         yield up
-
-
-def labelled_posets_by_filtering(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the same up-rows by deciding each unordered pair (below,
-    above, or incomparable) and filtering for transitivity."""
-    pairs = list(combinations(range(n), 2))
-    for choice in product((0, 1, 2), repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                up[i] |= 1 << j
-            elif c == 2:
-                up[j] |= 1 << i
-        ok = True
-        for i in range(n):
-            row = up[i]
-            for j in bit_indices(row):
-                if up[j] & ~row:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(up)
 
 
 def canonical_key(up: Sequence[int]) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Exceptions shared across the package.
 
 Domain errors (bad mathematical input) all derive from PosetError so the
-command line can map them to a single exit code. Parse problems and blown
-enumeration caps get their own roots; they exit differently.
+command line can map them to a single exit code. Parse problems, blown
+enumeration caps and broken internal invariants get their own roots; they
+exit differently.
 """
 
 
@@ -65,3 +66,7 @@ class CapExceeded(Exception):
         super().__init__(f"{what} exceeds the cap of {cap}")
         self.what = what
         self.cap = cap
+
+
+class InvariantViolation(Exception):
+    """A fact the package guarantees did not hold: a bug, not bad input."""

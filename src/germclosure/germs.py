@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotAGermExtension
 from .poset import Poset, bit_indices, check_subset, intersect_rows, mask_of
 
 
@@ -57,7 +56,7 @@ def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) ->
     ambient rows up/down restricted to mask; indices stay ambient. The
     defining conditions force at most one v. This scan over every v is
     the definition, the reference that germs_within's walk is checked
-    against; cogerm_candidates and is_germ read it."""
+    against; the cogerm-uniqueness predicate and the tests read it."""
     up_u = up[u] & mask
     below = down[u] & mask & ~(1 << u)
     # u = sup ]*,u[ iff the bounds match u's row
@@ -112,21 +111,9 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
     return out
 
 
-def cogerm_candidates(p: Poset, u: int) -> list[int]:
-    """All v making u a germ. The defining conditions force at most one;
-    callers may assert that."""
-    return cogerms_within(p.up, p.down, p.full_mask, u)
-
-
 def _record(p: Poset, u: int, v: int) -> GermRecord:
     seg = sorted(bit_indices(p.up[u] & p.down[v]), key=lambda i: p.down[i].bit_count())
     return GermRecord(p, u, v, tuple(seg))
-
-
-def is_germ(p: Poset, u: int) -> GermRecord | None:
-    cands = cogerm_candidates(p, u)
-    assert len(cands) <= 1, f"germ {p.labels[u]} admits {len(cands)} cogerms"
-    return _record(p, u, cands[0]) if cands else None
 
 
 # grm keeps the posets it has seen alive; the bound caps that memory
@@ -192,19 +179,3 @@ def germ_cut_witness(p: Poset, u_mask: int, s: int) -> int | None:
         if u_mask & p.strict_down(r) == shadow:
             return r
     return None
-
-
-def classify(p: Poset, u_mask: int, s: int) -> ElementCase:
-    """Whichever of the two shadow shapes holds for s, asserting the other
-    one fails. Only meaningful when the ambient poset p germ-extends U."""
-    if not is_germ_extension(p, u_mask):
-        raise NotAGermExtension(
-            "the ambient poset is not a germ extension of the given subset"
-        )
-    b = lambda_witness(p, u_mask, s)
-    r = germ_cut_witness(p, u_mask, s)
-    assert (b is None) != (r is None), (
-        f"element {p.labels[s]} fits"
-        f" {'both shapes' if b is not None else 'neither shape'}"
-    )
-    return LambdaCase(b) if b is not None else GermCutCase(r)

@@ -29,9 +29,10 @@ from .closure import (
 )
 from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, unique_base, verify_partition
 from .enumeration import CorpusSpec, corpus
+from .errors import InvariantViolation
 from .germs import (
     LambdaCase,
-    cogerm_candidates,
+    cogerms_within,
     detects,
     germ_cut_witness,
     germs_within,
@@ -109,7 +110,7 @@ def _pred_cogerm_uniqueness(ctx: Context) -> Iterator[Result]:
     for p in ctx.posets:
         walked = dict(germs_within(p.up, p.down, p.full_mask))
         for u in range(p.n):
-            cands = cogerm_candidates(p, u)
+            cands = cogerms_within(p.up, p.down, p.full_mask, u)
             walk = [walked[u]] if u in walked else []
             detail = f"cogerms {[p.labels[v] for v in cands]}"
             if walk != cands:
@@ -212,7 +213,7 @@ def _pred_universal_property(ctx: Context) -> Iterator[Result]:
     for s, u_mask, inst in _extension_pairs(ctx):
         try:
             clos, _ = canonical_embed(s, u_mask)
-        except AssertionError as e:
+        except InvariantViolation as e:
             yield inst, False, f"canonical embedding broke: {e}"
             continue
         n_embeddings = _count_base_fixing_embeddings(clos, s, list(bit_indices(u_mask)))
@@ -227,7 +228,7 @@ def _pred_lambda_ghat_disjoint(ctx: Context) -> Iterator[Result]:
     germs share a strict cut."""
     for p in ctx.posets:
         lam = set(lambda_sets(p))
-        ghat = [m for m, _ in ghat_sets(p)]
+        ghat = ghat_sets(p)
         ok = not lam.intersection(ghat) and len(set(ghat)) == len(ghat)
         yield describe_poset(p), ok, "cut families overlap"
 
@@ -333,14 +334,14 @@ def _pred_reconstruction(ctx: Context) -> Iterator[Result]:
         try:
             aut_transport(clos)
             yield inst, True, ""
-        except AssertionError as e:
+        except InvariantViolation as e:
             yield inst, False, f"automorphism transport broke: {e}"
     for t in ctx.lattices:
         inst = describe_poset(t.poset)
         try:
             reconstruct_from_lattice(t)
             yield inst, True, ""
-        except AssertionError as e:
+        except InvariantViolation as e:
             yield inst, False, f"reconstruction broke: {e}"
 
 
@@ -377,7 +378,7 @@ def _pred_partition(ctx: Context) -> Iterator[Result]:
         inst = describe_poset(t.poset)
         try:
             cells = verify_partition(t)
-        except AssertionError as e:
+        except InvariantViolation as e:
             yield inst, False, f"partition broke: {e}"
             continue
         total = sum(len(c.members) for c in cells)
@@ -403,7 +404,7 @@ def _pred_closure_vs_lowerset(ctx: Context) -> Iterator[Result]:
         lam_t = {masks[i] for i in bit_indices(lam)}
         ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
         lam_u = set(lambda_sets(p))
-        ghat_u = {m for m, _ in ghat_sets(p)}
+        ghat_u = set(ghat_sets(p))
         ok = lam_t == lam_u and ghat_via_t == ghat_u
         yield describe_poset(p), ok, (
             f"operator route gives Λ of {len(lam_t)} and Ĝ of {len(ghat_via_t)},"

@@ -111,27 +111,12 @@ def lower_set_lattice(u: Poset, cap: int = DEFAULT_LOWER_SET_CAP) -> Lattice:
     return Lattice(poset, element_masks=tuple(masks))
 
 
-def join_irreducibles(t: Lattice) -> Poset:
-    """The induced poset on the join irreducibles of t."""
-    return t.poset.full_subposet(t.irr_mask)
-
-
 def lambda_e(t: Lattice) -> int:
     """ΛE: elements equal to the meet of the irreducibles above them."""
     e = t.irr_mask
     return mask_of(
         i for i in range(t.n) if t.meet_mask(e & t.poset.up[i]) == i
     )
-
-
-def r_op(t: Lattice, x: int) -> int:
-    """Join of the irreducibles strictly below x."""
-    return t.r_table[x]
-
-
-def sigma_op(t: Lattice, x: int) -> int:
-    """Meet of the irreducibles strictly above x."""
-    return t.sigma_table[x]
 
 
 def _fixpoint(table: tuple[int, ...], x: int) -> int:

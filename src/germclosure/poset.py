@@ -184,33 +184,6 @@ class Poset:
         """[u,v] as a mask (empty unless u <= v)."""
         return self.up[u] & self.down[v]
 
-    def interval(self, kind: str, u: Optional[int] = None, v: Optional[int] = None) -> int:
-        """One of the eight interval shapes, by kind token.
-
-        Two-ended kinds take u and v; one-ended kinds take v only. The dot
-        of the one-ended notations is written ``*``.
-        """
-        if kind in ("[u,v]", "[u,v[", "]u,v]", "]u,v["):
-            if u is None or v is None:
-                raise ValueError(f"interval kind {kind!r} needs both ends")
-            m = self.up[u] & self.down[v]
-            if kind[0] == "]":
-                m &= ~(1 << u)
-            if kind[-1] == "[":
-                m &= ~(1 << v)
-            return m
-        if v is None:
-            raise ValueError(f"interval kind {kind!r} needs v")
-        if kind == "]*,v]":
-            return self.down[v]
-        if kind == "]*,v[":
-            return self.down[v] & ~(1 << v)
-        if kind == "[v,*[":
-            return self.up[v]
-        if kind == "]v,*[":
-            return self.up[v] & ~(1 << v)
-        raise ValueError(f"unknown interval kind {kind!r}")
-
     def strict_down(self, v: int) -> int:
         return self.down[v] & ~(1 << v)
 
@@ -251,22 +224,6 @@ class Poset:
         """The same elements with the order reversed."""
         return Poset(self.labels, self.down)
 
-    def full_subposet(self, mask: int) -> "Poset":
-        """The induced order on the elements of mask, labels kept.
-
-        Element k of the result is the k-th set bit of mask, so the parent
-        indices are recoverable as list(bit_indices(mask)).
-        """
-        keep = list(bit_indices(mask))
-        pos = {p: k for k, p in enumerate(keep)}
-        up = []
-        for p in keep:
-            m = 0
-            for q in bit_indices(self.up[p] & mask):
-                m |= 1 << pos[q]
-            up.append(m)
-        return Poset([self.labels[p] for p in keep], up)
-
     # -- structure ---------------------------------------------------------
 
     @cached_property
@@ -281,11 +238,6 @@ class Poset:
                     m |= 1 << j
             out.append(m)
         return tuple(out)
-
-    @cached_property
-    def covers_down(self) -> tuple[int, ...]:
-        """covers_down[i] = elements j covered by i."""
-        return tuple(transpose(self.covers_up, self.n))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All covering pairs (i, j) with j covering i, index order."""

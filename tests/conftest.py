@@ -2,7 +2,9 @@
 
 import pytest
 
-from germclosure import Lattice, Poset
+pytest.register_assert_rewrite("oracles")
+
+from germclosure import Lattice, Poset  # noqa: E402
 
 TWELVE_RELATIONS = [
     ("bot", "H"),

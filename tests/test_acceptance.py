@@ -21,7 +21,6 @@ from germclosure.enumeration import (
     enumerate_posets,
     iso_classes,
     labelled_posets_by_extension,
-    labelled_posets_by_filtering,
 )
 from germclosure.errors import DivisibilityViolation
 from germclosure.germs import grm
@@ -29,6 +28,7 @@ from germclosure.harness import PREDICATES, run_suite
 from germclosure.poset import Poset, antichain, chain, set_label
 from germclosure.repdim import DimQuery, dimension
 
+from oracles import labelled_posets_by_filtering
 from test_cli import GOLDEN_CASES
 
 EXPECTED = Path(__file__).parent / "golden" / "expected"

@@ -13,8 +13,8 @@ from germclosure import (
     enumerate_lattices,
     g_sharp,
     g_t,
-    ghat_t,
     is_germ_extensible,
+    lambda_e,
     lower_set_lattice,
     unique_base,
     verify_partition,
@@ -59,7 +59,7 @@ def test_extensible_rejects_foreign_subset(twelve):
 
 
 def test_g_families_on_twelve(twelve):
-    assert labels_of(twelve, ghat_t(twelve)) == {"M"}
+    assert labels_of(twelve, g_sharp(twelve) & ~lambda_e(twelve)) == {"M"}
     assert labels_of(twelve, g_t(twelve)) == {
         "bot", "H", "I", "M", "E", "F", "G", "A", "B", "top",
     }

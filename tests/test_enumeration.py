@@ -15,10 +15,10 @@ from germclosure import (
     enumerate_lattices,
     enumerate_posets,
     labelled_posets_by_extension,
-    labelled_posets_by_filtering,
 )
 from germclosure.enumeration import canonical_key, iso_classes
 from germclosure.poset import Poset, isomorphisms, refined_invariants
+from oracles import labelled_posets_by_filtering
 
 LABELLED = [1, 1, 3, 19, 219]
 UNLABELLED = [1, 1, 2, 5, 16]

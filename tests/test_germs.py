@@ -11,8 +11,6 @@ from germclosure import (
     Poset,
     antichain,
     chain,
-    classify,
-    cogerm_candidates,
     detects,
     enumerate_lattices,
     enumerate_posets,
@@ -20,11 +18,11 @@ from germclosure import (
     germs_within,
     grm,
     grm_mask,
-    is_germ,
     is_germ_extension,
 )
 from germclosure.germs import cogerms_within, germ_cut_witness, lambda_witness
 from germclosure.poset import bit_indices, mask_of
+from oracles import classify, induced_subposet, is_germ
 from test_poset import random_dags
 
 
@@ -141,8 +139,8 @@ def test_germ_cogerm_swaps_under_opposite():
 
 
 def test_cogerm_candidates_public_contract(vee):
-    assert cogerm_candidates(vee, vee.index("c")) == [vee.index("c")]
-    assert cogerm_candidates(vee, vee.index("a")) == []
+    assert cogerms_within(vee.up, vee.down, vee.full_mask, vee.index("c")) == [vee.index("c")]
+    assert cogerms_within(vee.up, vee.down, vee.full_mask, vee.index("a")) == []
 
 
 def test_detects():
@@ -273,7 +271,7 @@ def test_germs_within_matches_grm_of_subposet(data, bits):
     p = Poset.from_relations(*data)
     mask = bits & p.full_mask
     keep = list(bit_indices(mask))
-    expected = [(keep[r.germ], keep[r.cogerm]) for r in grm(p.full_subposet(mask))]
+    expected = [(keep[r.germ], keep[r.cogerm]) for r in grm(induced_subposet(p, mask))]
     assert germs_within(p.up, p.down, mask) == expected
 
 

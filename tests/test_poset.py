@@ -1,5 +1,5 @@
-"""Order relation plumbing: construction, intervals, bounds, subposets,
-isomorphism search."""
+"""Order relation plumbing: construction, bounds, subposets, isomorphism
+search."""
 
 from itertools import permutations
 
@@ -28,6 +28,7 @@ from germclosure.poset import (
     set_label,
     stabilizer_chain,
 )
+from oracles import induced_subposet
 
 
 def test_from_relations_takes_transitive_closure(vee):
@@ -64,39 +65,6 @@ def test_structural_equality_and_hash():
     assert relabeled != chain(3)
 
 
-@pytest.mark.parametrize(
-    "kind,expected",
-    [
-        ("[u,v]", {"u2", "u3", "u4"}),
-        ("[u,v[", {"u2", "u3"}),
-        ("]u,v]", {"u3", "u4"}),
-        ("]u,v[", {"u3"}),
-        ("]*,v]", {"u1", "u2", "u3", "u4"}),
-        ("]*,v[", {"u1", "u2", "u3"}),
-        ("[v,*[", {"u4", "u5"}),
-        ("]v,*[", {"u5"}),
-    ],
-)
-def test_interval_kinds(kind, expected):
-    c = chain(5)
-    u, v = c.index("u2"), c.index("u4")
-    arg = v if "u" not in kind else u
-    if kind in ("[u,v]", "[u,v[", "]u,v]", "]u,v["):
-        mask = c.interval(kind, u, v)
-    else:
-        mask = c.interval(kind, v=v) if "v" in kind else c.interval(kind)
-    got = {c.labels[i] for i in bit_indices(mask)}
-    assert got == expected
-
-
-def test_interval_endpoint_kinds_take_single_argument():
-    c = chain(3)
-    assert c.interval("]*,v]", v=1) == c.down[1]
-    assert c.interval("[v,*[", v=1) == c.up[1]
-    with pytest.raises(ValueError):
-        c.interval("(u,v)", 0, 2)
-
-
 def _check_sup_inf_by_scan(p):
     """sup_of and inf_of against a scan of the upper (lower) bounds for
     one bounding all the others."""
@@ -125,7 +93,7 @@ def test_opposite_is_involutive(npos):
 
 
 def test_full_subposet_keeps_order(npos):
-    sub = npos.full_subposet(mask_of([npos.index("z"), npos.index("x")]))
+    sub = induced_subposet(npos, mask_of([npos.index("z"), npos.index("x")]))
     assert sub.labels == ("x", "z")
     assert sub.leq(sub.index("z"), sub.index("x"))
     assert list(bit_indices(npos.full_mask)) == [0, 1, 2, 3]
