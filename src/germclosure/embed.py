@@ -7,6 +7,13 @@ is then called germ extensible and Ḡ(U) denotes the image. The
 irreducibles E of T are always germ extensible with Ḡ(E) = G_T, and
 every subset S of T sits in a unique interval [U, Ḡ(U)] with U germ
 extensible, which partitions the whole powerset of T.
+
+unique_base finds the U of one S by germ removal. verify_partition
+finds it for all 2^n subsets at once: a family of subsets is one 2^n-bit
+integer with bit S set for each member S, and drop_sets builds, for
+every element r, the family of subsets that germ removal drops r from.
+The cells are then split out of those patterns, and only their bases
+are closed.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from .closure import closure_masks
 from .errors import CapExceeded, InvariantViolation
 from .germs import GermCutCase, germs_within
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
-from .poset import bit_indices, check_subset, mask_of, sorted_by_size
+from .poset import bit_indices, check_subset, mask_of, sorted_by_size, transpose
 
-# verify_partition walks all 2^n subsets of the lattice
+# verify_partition keeps 2^n-bit patterns, one bit per subset of the lattice
 PARTITION_SIZE_CAP = 12
 
 
@@ -89,30 +96,108 @@ def irr_closure_equals_g_t(t: Lattice) -> bool:
     return all(nu_of.get(alpha(t, e, x)) == x for x in bit_indices(g))
 
 
-def _base_result(t: Lattice, s_mask: int, bases: dict[int, EmbedResult]) -> EmbedResult:
-    """unique_base, reading and filling bases, a table from each base
-    mask to its extensibility result."""
-    up, down = t.poset.up, t.poset.down
-    u_mask = s_mask & ~mask_of(
-        r for r, _ in germs_within(up, down, s_mask)
-        if t.join_mask(s_mask & down[r] & ~(1 << r)) == r
-    )
-    res = bases.get(u_mask)
-    if res is None:
-        res = bases[u_mask] = is_germ_extensible(t, u_mask)
-        if not res.extensible:
-            raise InvariantViolation("the base produced by germ removal is not extensible")
-    if s_mask & ~res.g_bar:
-        raise InvariantViolation("S escapes the interval [U, Ḡ(U)]")
-    return res
-
-
 def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
     germ of S that equals the join of the S-elements below it. Returns
     is_germ_extensible(t, U), which carries U and Ḡ(U)."""
     check_subset(t.n, s_mask)
-    return _base_result(t, s_mask, {})
+    up, down = t.poset.up, t.poset.down
+    u_mask = s_mask & ~mask_of(
+        r for r, _ in germs_within(up, down, s_mask)
+        if t.join_mask(s_mask & down[r] & ~(1 << r)) == r
+    )
+    res = is_germ_extensible(t, u_mask)
+    if not res.extensible:
+        raise InvariantViolation("the base produced by germ removal is not extensible")
+    if s_mask & ~res.g_bar:
+        raise InvariantViolation("S escapes the interval [U, Ḡ(U)]")
+    return res
+
+
+def subset_bits(n: int) -> list[int]:
+    """has[x] for every x < n: the 2^n-bit pattern whose bit S is set
+    exactly when the subset S of range(n) contains x. Its bits run in
+    blocks of 2^x clear then 2^x set, so it is one such block repeated."""
+    every = (1 << (1 << n)) - 1
+    return [
+        every // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+        for x in range(n)
+    ]
+
+
+def drop_sets(t: Lattice) -> list[int]:
+    """drop[r] for every element r of t: the 2^n-bit pattern whose bit S
+    is set exactly when germ removal drops r from S, that is, when r is
+    a germ of S with r = ∨_T (S ∩ ]*,r[). Patterns of subsets combine by
+    AND and OR, so each step below acts on all 2^n subsets at once.
+    has[x] holds the subsets containing x, and missing(M) those that
+    miss the mask M.
+
+    (J) ∨_T (S ∩ ]*,r[) = r. That join is at most r, and in a finite
+    lattice a join strictly below r lies under some lower cover c of r.
+    So (J) holds iff S ∩ ]*,r[ ⊄ ↓c for every lower cover c, that is,
+    iff S meets ]*,r[ - ↓c for each c. (J) makes r the sup in S of
+    S ∩ ]*,r[, the first test of germs_within, and the one-lower-cover
+    shortcut there is a case of it. So r is dropped iff r ∈ S, (J), and
+    some v ≥ r passes, inside S, the rest of the germ definition:
+
+    - v ∈ S;
+    - the cone splits: S misses ↑r - ↓v - ↑v and ↓v - ↑r - ↓r;
+    - v = inf in S of S ∩ ]v,*[: every common lower bound of
+      S ∩ ]v,*[ in S lies in ↓v, so for no w ∈ S - ↓v does S miss
+      ]v,*[ - ↑w;
+    - [r,v] ∩ S is a chain.
+
+    The chain test is left out, because some v passes all four tests
+    whenever some v passes the first three. Walk the bridges of S (see
+    germs.py) up from r = c0 < c1 < ... . The walk stays under v: for a
+    step c < v, v ∈ ]c,*[ ∩ S lies above c's only upper cover. If it
+    reaches v, [r,v] ∩ S is the chain it walked. Otherwise it stops at
+    some c < v:
+
+    - If c had exactly one upper cover d in S, then d ≤ v. By the lower
+      split any other lower cover y of d in S lies in ↓r or in
+      ↑r ∩ S = {c0..c} + [d,*[, so y < c or y ≥ d, neither a lower cover
+      of d. Then c is d's only lower cover, and the walk would go on.
+    - So c has two upper covers in S, and c itself passes all four
+      tests. The bridge path gives the splits and the chain. If some
+      w ∈ S - ↓c lay under all of ]c,*[ ∩ S, then w ≤ v, so w ∈ ↑r by
+      the lower split, so w ∈ ]c,*[ and w would be c's only upper cover.
+    """
+    p = t.poset
+    n, up, down = p.n, p.up, p.down
+    has = subset_bits(n)
+    every = (1 << (1 << n)) - 1
+    memo = {0: every}
+
+    def missing(m: int) -> int:
+        out = memo.get(m)
+        if out is None:
+            out = every
+            for x in bit_indices(m):
+                out &= ~has[x]
+            memo[m] = out
+        return out
+
+    lower_covers = transpose(p.covers_up, n)
+    drop = []
+    for r in range(n):
+        below = down[r] & ~(1 << r)
+        joined = has[r]
+        for c in bit_indices(lower_covers[r]):
+            joined &= ~missing(below & ~down[c])
+        dropped = 0
+        for v in bit_indices(up[r]):
+            g = joined & has[v] & missing(up[r] & ~down[v] & ~up[v])
+            g &= missing(down[v] & ~up[r] & ~down[r])
+            above = up[v] & ~(1 << v)
+            for w in bit_indices(p.full_mask & ~down[v]):
+                if not g:
+                    break
+                g &= ~(has[w] & missing(above & ~up[w]))
+            dropped |= g
+        drop.append(dropped)
+    return drop
 
 
 @dataclass(frozen=True)
@@ -124,23 +209,44 @@ class PartitionCell:
 
 def verify_partition(t: Lattice) -> list[PartitionCell]:
     """Group every subset of t by its unique base and check each group is
-    the full interval [U, Ḡ(U)], sized 2^(|Ḡ(U)|-|U|). Each base is
-    closed once, however many subsets share it."""
+    the full interval [U, Ḡ(U)]. The 2^n subsets are handled as bit
+    patterns: the group of U holds the S that keep exactly U after germ
+    removal, found by splitting the patterns on keep[e] = has[e] -
+    drop[e] one element at a time. Each base is closed once."""
     n = t.n
     if n > PARTITION_SIZE_CAP:
         raise CapExceeded("partition ground set size", PARTITION_SIZE_CAP)
-    bases: dict[int, EmbedResult] = {}
-    groups: dict[int, list[int]] = {}
-    for s_mask in range(1 << n):
-        res = _base_result(t, s_mask, bases)
-        groups.setdefault(res.subset, []).append(s_mask)
+    groups = {0: (1 << (1 << n)) - 1}
+    for e, (has_e, drop_e) in enumerate(zip(subset_bits(n), drop_sets(t))):
+        keep_e = has_e & ~drop_e
+        split = {}
+        for u_mask, group in groups.items():
+            if kept := group & keep_e:
+                split[u_mask | 1 << e] = kept
+            if lost := group & ~keep_e:
+                split[u_mask] = lost
+        groups = split
     cells = []
     for u_mask in sorted_by_size(groups):
-        members = groups[u_mask]
-        top = bases[u_mask].g_bar
-        # members are distinct and inside [U, Ḡ(U)], so the count decides fullness
-        if len(members) != 1 << (top.bit_count() - u_mask.bit_count()):
+        res = is_germ_extensible(t, u_mask)
+        if not res.extensible:
+            raise InvariantViolation("the base produced by germ removal is not extensible")
+        free = res.g_bar & ~u_mask
+        # [U, Ḡ(U)] as a pattern: bit U | sub for each submask sub of free
+        interval = 1
+        for e in bit_indices(free):
+            interval |= interval << (1 << e)
+        interval <<= u_mask
+        group = groups[u_mask]
+        if group & ~interval:
+            raise InvariantViolation("S escapes the interval [U, Ḡ(U)]")
+        if interval & ~group:
             raise InvariantViolation("a cell misses part of its interval")
-        cells.append(PartitionCell(u_mask, top, tuple(members)))
-    # each subset joined exactly one group, so the cells cover all 2^n
+        # U | sub over the submasks sub of free, ascending
+        members, sub = [u_mask], free & -free
+        while sub:
+            members.append(u_mask | sub)
+            sub = (sub - free) & free
+        cells.append(PartitionCell(u_mask, res.g_bar, tuple(members)))
+    # the split puts each subset in exactly one group, so the cells cover all 2^n
     return cells

@@ -2,10 +2,15 @@
 and the interval partition of the power set."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import germclosure.closure
+import germclosure.embed
+import germclosure.germs
 from germclosure import (
     CapExceeded,
     Lattice,
+    Poset,
     alpha,
     antichain,
     chain,
@@ -13,13 +18,24 @@ from germclosure import (
     enumerate_lattices,
     g_sharp,
     g_t,
+    germ_closure,
     is_germ_extensible,
     lambda_e,
     lower_set_lattice,
     unique_base,
     verify_partition,
 )
+from germclosure.embed import PARTITION_SIZE_CAP, drop_sets
+from germclosure.germs import germs_within
 from germclosure.poset import bit_indices, mask_of
+from test_poset import random_dags
+
+# closure lattices of random orders, small enough to partition
+closure_lattices = (
+    random_dags(max_n=12)
+    .map(lambda data: Lattice.from_poset(germ_closure(Poset.from_relations(*data)).poset))
+    .filter(lambda t: t.n <= PARTITION_SIZE_CAP)
+)
 
 
 def labels_of(t: Lattice, mask: int) -> set[str]:
@@ -190,3 +206,78 @@ def test_partition_matches_brute_force_base_search():
                 for m in cell.members
             }
             assert got == expected
+
+
+def dropped_by_germ_removal(t: Lattice, s_mask: int) -> int:
+    """The germs r of S with r = ∨_T (S ∩ ]*,r[), one subset at a time."""
+    up, down = t.poset.up, t.poset.down
+    return mask_of(
+        r for r, _ in germs_within(up, down, s_mask)
+        if t.join_mask(s_mask & down[r] & ~(1 << r)) == r
+    )
+
+
+def check_drop_sets(t: Lattice) -> None:
+    drop = drop_sets(t)
+    assert len(drop) == t.n
+    for s in range(1 << t.n):
+        got = mask_of(r for r in range(t.n) if drop[r] >> s & 1)
+        assert got == dropped_by_germ_removal(t, s), (t.poset, s)
+
+
+def test_drop_sets_match_germ_removal(twelve):
+    """Bit S of drop[r] is set exactly when germ removal drops r from S,
+    on every lattice of up to 7 elements and on twelve."""
+    for n in range(1, 8):
+        for t in enumerate_lattices(n):
+            check_drop_sets(t)
+    check_drop_sets(twelve)
+
+
+@settings(deadline=None)
+@given(closure_lattices)
+def test_drop_sets_match_germ_removal_on_closure_lattices(t):
+    check_drop_sets(t)
+
+
+@settings(deadline=None)
+@given(closure_lattices, st.integers(min_value=0, max_value=(1 << PARTITION_SIZE_CAP) - 1))
+def test_nu_criterion_on_closure_lattices(t, bits):
+    """U is germ extensible exactly when ν is injective on G(U), and the
+    germs that break it are those germ removal drops from U."""
+    u_mask = bits & t.poset.full_mask
+    res = is_germ_extensible(t, u_mask)
+    assert res.extensible == (len(set(res.nu_image)) == len(res.masks))
+    drop = drop_sets(t)
+    assert res.violating_germs == tuple(r for r in range(t.n) if drop[r] >> u_mask & 1)
+
+
+def test_partition_closes_each_base_once(twelve, monkeypatch):
+    """verify_partition closes each of twelve's 1,044 bases once and
+    finds no germs outside those closures: no subset is walked alone."""
+    closing = False
+    calls = {"closures": 0, "inside": 0, "outside": 0}
+    real_extensible = germclosure.embed.is_germ_extensible
+
+    def counted_extensible(t, u_mask):
+        nonlocal closing
+        calls["closures"] += 1
+        closing = True
+        try:
+            return real_extensible(t, u_mask)
+        finally:
+            closing = False
+
+    def watched(real):
+        def germs_within(*args):
+            calls["inside" if closing else "outside"] += 1
+            return real(*args)
+        return germs_within
+
+    monkeypatch.setattr(germclosure.embed, "is_germ_extensible", counted_extensible)
+    for module in (germclosure.germs, germclosure.closure, germclosure.embed):
+        monkeypatch.setattr(module, "germs_within", watched(module.germs_within))
+    cells = verify_partition(twelve)
+    assert calls["closures"] == len(cells) == 1044
+    assert calls["inside"] > 0
+    assert calls["outside"] == 0

@@ -4,6 +4,8 @@ them, and reported by the CLI as a named failure instead of a traceback."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import germclosure
 import germclosure.closure
 import germclosure.embed
@@ -49,3 +51,23 @@ def test_cli_names_a_broken_invariant(monkeypatch, capsys):
     assert err == (
         "internal invariant violated: the base produced by germ removal is not extensible\n"
     )
+
+
+@pytest.mark.parametrize(
+    "drops, message",
+    [
+        # the base of ∅ is ∅, whose cell {∅} misses {bot} of [∅, {bot}]
+        (lambda t: [0] * t.n, "a cell misses part of its interval"),
+        # every subset keeps ∅, so the cell of ∅ is all of them
+        (lambda t: germclosure.embed.subset_bits(t.n), "S escapes the interval [U, Ḡ(U)]"),
+    ],
+)
+def test_cli_names_a_broken_partition(monkeypatch, capsys, drops, message):
+    """Drop sets that drop nothing, or everything, break the partition
+    check; the CLI exits 4 with one line on stderr."""
+    monkeypatch.setattr(germclosure.embed, "drop_sets", drops)
+    code = main(["partition", str(TWELVE)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err == f"internal invariant violated: {message}\n"
