@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .closure import closure_masks
 from .errors import CapExceeded, InvariantViolation
-from .germs import GermCutCase, germs_within
+from .germs import GermCutCase
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
-from .poset import bit_indices, check_subset, mask_of, sorted_by_size, transpose
+from .poset import bit_indices, mask_of, sorted_by_size, transpose
 
 # verify_partition keeps 2^n-bit patterns, one bit per subset of the lattice
 PARTITION_SIZE_CAP = 12
@@ -98,14 +98,10 @@ def irr_closure_equals_g_t(t: Lattice) -> bool:
 
 def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
-    germ of S that equals the join of the S-elements below it. Returns
-    is_germ_extensible(t, U), which carries U and Ḡ(U)."""
-    check_subset(t.n, s_mask)
-    up, down = t.poset.up, t.poset.down
-    u_mask = s_mask & ~mask_of(
-        r for r, _ in germs_within(up, down, s_mask)
-        if t.join_mask(s_mask & down[r] & ~(1 << r)) == r
-    )
+    germ of S that equals the join of the S-elements below it, that is,
+    every violating germ of S. Returns is_germ_extensible(t, U), which
+    carries U and Ḡ(U)."""
+    u_mask = s_mask & ~mask_of(is_germ_extensible(t, s_mask).violating_germs)
     res = is_germ_extensible(t, u_mask)
     if not res.extensible:
         raise InvariantViolation("the base produced by germ removal is not extensible")

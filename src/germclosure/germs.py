@@ -26,9 +26,11 @@ An element v with exactly one upper cover d has ]v,*[ = [d,*[, whose
 inf is d, not v. So a cogerm never has exactly one upper cover, and the
 only candidate for v is the element where the bridge walk from u stops.
 Dually, an element with exactly one lower cover is never a germ. On a
-subposet all of this holds for the rows restricted to its mask, and both
-cover tests are equalities of such rows, so every step of the walk is a
-dictionary lookup or one row comparison.
+subposet all of this holds for the rows restricted to its mask. The
+one-lower-cover test is a dictionary lookup of such a row. Each climb
+step intersects the down-rows of ]v,*[: an element of ]v,*[ under all of
+it is its least, v's one upper cover, and when there is none, that
+intersection tests whether v is the inf of ]v,*[.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
     The cogerm is found by the bridge walk of the module docstring; the
     scan over every v, kept as cogerms_within, is the reference."""
     check_subset(len(up), mask)
-    # masked rows are distinct, so each names its element
-    by_up = {up[i] & mask: i for i in bit_indices(mask)}
+    # masked down-rows are distinct, so each names its element
     by_down = {down[i] & mask: i for i in bit_indices(mask)}
     out = []
     for u in bit_indices(mask):
@@ -98,15 +99,17 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
         up_u = up[u] & mask
         if intersect_rows(up, below, mask) != up_u:
             continue
-        # climb while v's one upper cover d has v as its one lower cover
+        # climb while the least element d of ]v,*[, v's one upper cover,
+        # has v as its one lower cover
         v, above = u, up_u & ~(1 << u)
-        while (d := by_up.get(above)) is not None:
-            if down[d] & mask & ~(1 << d) != down[v] & mask:
+        while d_bit := (lower := intersect_rows(down, above, mask)) & above:
+            d = d_bit.bit_length() - 1
+            if down[d] & mask & ~d_bit != down[v] & mask:
                 # v has one upper cover d, so inf ]v,*[ is d
                 break
-            v, above = d, up[d] & mask & ~(1 << d)
+            v, above = d, up[d] & mask & ~d_bit
         else:
-            if intersect_rows(down, above, mask) == down[v] & mask:
+            if lower == down[v] & mask:
                 out.append((u, v))
     return out
 

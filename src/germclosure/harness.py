@@ -27,9 +27,9 @@ from .closure import (
     lambda_sets,
     reconstruct_from_lattice,
 )
-from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, unique_base, verify_partition
+from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, verify_partition
 from .enumeration import CorpusSpec, corpus
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotALattice
 from .germs import (
     LambdaCase,
     cogerms_within,
@@ -243,7 +243,11 @@ def _pred_closure_lattice(ctx: Context) -> Iterator[Result]:
         if 0 not in members or p.full_mask not in members:
             yield inst, False, "missing empty set or full base"
             continue
-        lat = Lattice.from_poset(clos.poset)
+        try:
+            lat = Lattice.from_poset(clos.poset)
+        except NotALattice as e:
+            yield inst, False, f"closure is not a lattice: {e}"
+            continue
         ok = True
         detail = ""
         for i in range(clos.n):
@@ -354,8 +358,13 @@ def _pred_nu_criterion(ctx: Context) -> Iterator[Result]:
     for t in ctx.lattices:
         desc = describe_poset(t.poset)
         for u_mask in range(1 << t.n):
-            res = is_germ_extensible(t, u_mask)
             inst = f"{desc}; U={set_label(t.poset, u_mask)}"
+            try:
+                res = is_germ_extensible(t, u_mask)
+            except InvariantViolation:
+                # raised when the criterion holds but ν is not injective
+                yield inst, False, "criterion says True, injectivity says False"
+                continue
             size = len(res.masks)
             direct = len(set(res.nu_image)) == size
             yield inst, res.extensible == direct, (
@@ -383,7 +392,7 @@ def _pred_partition(ctx: Context) -> Iterator[Result]:
             continue
         total = sum(len(c.members) for c in cells)
         yield inst, total == 1 << t.n, f"cells cover {total} of {1 << t.n} subsets"
-        base = unique_base(t, t.poset.full_mask).subset
+        base = next(c.base_mask for c in cells if c.top_mask == t.poset.full_mask)
         ok = base == t.poset.full_mask & ~grm_mask(t.poset)
         yield inst, ok, "base of the whole lattice is not lattice minus germs"
 

@@ -248,16 +248,16 @@ class Poset:
         return mask_of(self.index(lab) for lab in labels)
 
 
-def chain(n: int, prefix: str = "u") -> Poset:
+def chain(n: int) -> Poset:
     """The chain u1 < u2 < ... < un."""
-    labels = [f"{prefix}{i + 1}" for i in range(n)]
+    labels = [f"u{i + 1}" for i in range(n)]
     up = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
     return Poset(labels, up)
 
 
-def antichain(n: int, prefix: str = "u") -> Poset:
+def antichain(n: int) -> Poset:
     """n pairwise incomparable elements."""
-    labels = [f"{prefix}{i + 1}" for i in range(n)]
+    labels = [f"u{i + 1}" for i in range(n)]
     return Poset(labels, [1 << i for i in range(n)])
 
 

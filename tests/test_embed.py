@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 import germclosure.closure
 import germclosure.embed
 import germclosure.germs
+import germclosure.harness
 from germclosure import (
     CapExceeded,
+    CorpusSpec,
     Lattice,
     Poset,
     alpha,
     antichain,
     chain,
+    corpus,
     irr_closure_equals_g_t,
     enumerate_lattices,
     g_sharp,
@@ -22,6 +25,7 @@ from germclosure import (
     is_germ_extensible,
     lambda_e,
     lower_set_lattice,
+    run_suite,
     unique_base,
     verify_partition,
 )
@@ -187,7 +191,8 @@ def test_gbar_members_on_lower_set_lattice(npos):
 def test_partition_matches_brute_force_base_search():
     """On every lattice of up to 6 elements, each subset S lies in
     exactly one interval [U, Ḡ(U)] with U germ extensible, found by
-    searching all U ⊆ S, and verify_partition puts S in that cell."""
+    searching all U ⊆ S; verify_partition puts S in that cell, and
+    unique_base(t, S) returns its U and Ḡ(U)."""
     for n in range(1, 7):
         for t in enumerate_lattices(n):
             g_bar = {}
@@ -206,6 +211,9 @@ def test_partition_matches_brute_force_base_search():
                 for m in cell.members
             }
             assert got == expected
+            for s, cell in got.items():
+                res = unique_base(t, s)
+                assert (res.subset, res.g_bar) == cell
 
 
 def dropped_by_germ_removal(t: Lattice, s_mask: int) -> int:
@@ -252,6 +260,26 @@ def test_nu_criterion_on_closure_lattices(t, bits):
     assert res.violating_germs == tuple(r for r in range(t.n) if drop[r] >> u_mask & 1)
 
 
+def test_partition_predicate_closes_each_cell_once(monkeypatch):
+    """The partition predicate reads the whole lattice's base from its
+    cell, so over the lattices up to 6 elements it closes each of the
+    468 cells once and no base a second time."""
+    lattices = CorpusSpec(6, "lattices")
+    cells = sum(len(verify_partition(t)) for t in corpus(lattices))
+    calls = []
+    real_extensible = germclosure.embed.is_germ_extensible
+
+    def counted_extensible(t, u_mask):
+        calls.append(u_mask)
+        return real_extensible(t, u_mask)
+
+    for module in (germclosure.embed, germclosure.harness):
+        monkeypatch.setattr(module, "is_germ_extensible", counted_extensible)
+    [report] = run_suite(lattices, ["partition"])
+    assert report.ok
+    assert len(calls) == cells == 468
+
+
 def test_partition_closes_each_base_once(twelve, monkeypatch):
     """verify_partition closes each of twelve's 1,044 bases once and
     finds no germs outside those closures: no subset is walked alone."""
@@ -275,7 +303,7 @@ def test_partition_closes_each_base_once(twelve, monkeypatch):
         return germs_within
 
     monkeypatch.setattr(germclosure.embed, "is_germ_extensible", counted_extensible)
-    for module in (germclosure.germs, germclosure.closure, germclosure.embed):
+    for module in (germclosure.germs, germclosure.closure):
         monkeypatch.setattr(module, "germs_within", watched(module.germs_within))
     cells = verify_partition(twelve)
     assert calls["closures"] == len(cells) == 1044

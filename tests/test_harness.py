@@ -6,7 +6,16 @@ import hashlib
 
 import germclosure.closure
 import germclosure.harness
-from germclosure import CorpusSpec, PredicateReport, corpus, germ_closure, grm, run_suite
+from germclosure import (
+    CorpusSpec,
+    Lattice,
+    NotALattice,
+    PredicateReport,
+    corpus,
+    germ_closure,
+    grm,
+    run_suite,
+)
 from germclosure.harness import (
     PAIR_LIMIT,
     PREDICATES,
@@ -139,6 +148,35 @@ def test_cogerm_uniqueness_fails_when_the_walk_misses_a_germ(monkeypatch):
         "elements: a; relations: ; u=a",
         "cogerms ['a']; the walk gives []",
     )
+
+
+def test_nu_criterion_names_a_join_map_that_is_not_injective(monkeypatch):
+    """A join that sends every set to the bottom makes ν collapse where
+    the criterion holds; each such U fails by name, with or without -O,
+    and no exception escapes the suite."""
+    specs = [CorpusSpec(0), CorpusSpec(3, "lattices")]
+    [green] = run_suite(specs, ["nu-criterion"])
+    monkeypatch.setattr(Lattice, "join_mask", lambda self, mask: self.poset.sup_of(0))
+    [report] = run_suite(specs, ["nu-criterion"])
+    assert report.checked == green.checked
+    assert report.failures
+    assert {detail for _, detail in report.failures} == {
+        "criterion says True, injectivity says False"
+    }
+
+
+def test_closure_lattice_names_a_closure_that_is_not_a_lattice(monkeypatch):
+    """A NotALattice from the closure's lattice check fails that poset's
+    instance and the run goes on to the next poset."""
+
+    def refuse(p):
+        raise NotALattice("no join")
+
+    monkeypatch.setattr(Lattice, "from_poset", staticmethod(refuse))
+    spec = CorpusSpec(3, "posets")
+    [report] = run_suite(spec, ["closure-lattice"])
+    assert report.checked == len(report.failures) == len(corpus(spec))
+    assert report.failures[0] == ("elements: ; relations: ", "closure is not a lattice: no join")
 
 
 def _count_closures(monkeypatch) -> list:

@@ -27,6 +27,28 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_every_import_in_the_package_is_used():
+    """A name a module imports but never reads is left over from code
+    that moved away. __init__.py re-exports and __future__ imports are
+    exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert unused == []
+
+
 def test_reconstruction_reports_a_broken_embedding(monkeypatch, capsys):
     """A canonical embedding that fails its order check makes every
     lattice of the reconstruction predicate fail, with or without -O."""
@@ -41,16 +63,19 @@ def test_reconstruction_reports_a_broken_embedding(monkeypatch, capsys):
 
 
 def test_cli_names_a_broken_invariant(monkeypatch, capsys):
-    """A germ finder that misses every germ leaves unique_base a base that
-    is not extensible; the CLI exits 4 with one line on stderr."""
-    monkeypatch.setattr(germclosure.embed, "germs_within", lambda up, down, mask: [])
+    """A germ finder that reports every germ twice gives the closure two
+    germs with one strict cut; the CLI exits 4 with one line on stderr."""
+    walk = germclosure.closure.germs_within
+
+    def twice(up, down, mask):
+        return 2 * walk(up, down, mask)
+
+    monkeypatch.setattr(germclosure.closure, "germs_within", twice)
     code = main(["base", str(TWELVE), "--subset", "bot,H,I,M,E,F,G,C,D,A,B,top"])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
-    assert err == (
-        "internal invariant violated: the base produced by germ removal is not extensible\n"
-    )
+    assert err == "internal invariant violated: two germs share a strict lower cut\n"
 
 
 @pytest.mark.parametrize(
