@@ -100,9 +100,11 @@ def unique_base(t: Lattice, s_mask: int) -> EmbedResult:
     """The one germ-extensible U with U ⊆ S ⊆ Ḡ(U): drop from S every
     germ of S that equals the join of the S-elements below it, that is,
     every violating germ of S. Returns is_germ_extensible(t, U), which
-    carries U and Ḡ(U)."""
-    u_mask = s_mask & ~mask_of(is_germ_extensible(t, s_mask).violating_germs)
-    res = is_germ_extensible(t, u_mask)
+    carries U and Ḡ(U); when S has no violating germs, U = S and S's own
+    result is returned without closing S again."""
+    res = is_germ_extensible(t, s_mask)
+    if res.violating_germs:
+        res = is_germ_extensible(t, s_mask & ~mask_of(res.violating_germs))
     if not res.extensible:
         raise InvariantViolation("the base produced by germ removal is not extensible")
     if s_mask & ~res.g_bar:

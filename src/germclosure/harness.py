@@ -1,10 +1,19 @@
 """Executable checks for every structural fact the package relies on.
 
-Each predicate streams (instance, ok, detail) results over an exhaustive
-corpus; run_suite aggregates them into per-predicate reports carrying
+Each fact is a check on one instance: a corpus poset, a corpus lattice,
+or a pair (s, U) of a small poset s and a subset U, optionally only the
+pairs where s germ-extends U. A check yields (suffix, ok, detail)
+results; one walk runs it over every instance of its kind, builds each
+instance's description once, and appends the check's suffix to it.
+run_suite aggregates the results into per-predicate reports carrying
 replayable failure descriptions. Conditional facts count only instances
 satisfying their hypothesis. The op-duality probe is advisory: it reports
 rather than fails, since the duality is conjectural.
+
+An exception a check raises fails that instance by name, its type and
+message as the detail, after whatever the check yielded before it; the
+walk then goes on to the next instance, so every predicate reports and
+verify exits 1 instead of ending in a traceback.
 
 A Context holds the corpora of one run and G(p) of each corpus poset p.
 A closure is built inside the first instance that needs it and then
@@ -29,7 +38,7 @@ from .closure import (
 )
 from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, verify_partition
 from .enumeration import CorpusSpec, corpus
-from .errors import InvariantViolation, NotALattice
+from .errors import InvariantViolation
 from .germs import (
     LambdaCase,
     cogerms_within,
@@ -54,14 +63,13 @@ class Context:
 
     posets: list[Poset]
     lattices: list[Lattice]
-    _closures: list[GermClosure] = field(default_factory=list, init=False, repr=False)
+    _closures: dict[Poset, GermClosure] = field(default_factory=dict, init=False, repr=False)
 
-    def closures(self) -> Iterator[tuple[Poset, GermClosure]]:
-        """Each corpus poset with its closure, in corpus order."""
-        for k, p in enumerate(self.posets):
-            if k == len(self._closures):
-                self._closures.append(germ_closure(p))
-            yield p, self._closures[k]
+    def closure(self, p: Poset) -> GermClosure:
+        """G(p), built on the first request for p and shared by the rest."""
+        if p not in self._closures:
+            self._closures[p] = germ_closure(p)
+        return self._closures[p]
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,7 @@ class PredicateReport:
 
 
 Result = tuple[str, bool, str]
+Check = Callable[..., Iterator[Result]]
 
 
 def describe_poset(p: Poset) -> str:
@@ -84,118 +93,88 @@ def describe_poset(p: Poset) -> str:
     return f"elements: {' '.join(p.labels)}; relations: {rels}"
 
 
-def _pairs(ctx: Context) -> Iterator[tuple[Poset, int, str]]:
-    """(s, U, instance) for every subset U of each small poset s; s is
-    described once for all its subsets."""
-    for s in ctx.posets:
-        if s.n > PAIR_LIMIT:
-            continue
-        desc = describe_poset(s)
-        for u_mask in range(1 << s.n):
-            yield s, u_mask, f"{desc}; U={set_label(s, u_mask)}"
-
-
-def _extension_pairs(ctx: Context) -> Iterator[tuple[Poset, int, str]]:
-    for s, u_mask, inst in _pairs(ctx):
-        if is_germ_extension(s, u_mask):
-            yield s, u_mask, inst
-
-
 # -- germ facts --------------------------------------------------------------
 
 
-def _pred_cogerm_uniqueness(ctx: Context) -> Iterator[Result]:
+def _cogerm_uniqueness(ctx: Context, p: Poset) -> Iterator[Result]:
     """Every germ admits exactly one cogerm, found by scanning every v,
     and the germ finder's bridge walk returns that cogerm."""
-    for p in ctx.posets:
-        walked = dict(germs_within(p.up, p.down, p.full_mask))
-        for u in range(p.n):
-            cands = cogerms_within(p.up, p.down, p.full_mask, u)
-            walk = [walked[u]] if u in walked else []
-            detail = f"cogerms {[p.labels[v] for v in cands]}"
-            if walk != cands:
-                detail += f"; the walk gives {[p.labels[v] for v in walk]}"
-            yield (
-                f"{describe_poset(p)}; u={p.labels[u]}",
-                len(cands) <= 1 and walk == cands,
-                detail,
-            )
+    walked = dict(germs_within(p.up, p.down, p.full_mask))
+    for u in range(p.n):
+        cands = cogerms_within(p.up, p.down, p.full_mask, u)
+        walk = [walked[u]] if u in walked else []
+        detail = f"cogerms {[p.labels[v] for v in cands]}"
+        if walk != cands:
+            detail += f"; the walk gives {[p.labels[v] for v in walk]}"
+        yield f"; u={p.labels[u]}", len(cands) <= 1 and walk == cands, detail
 
 
-def _pred_germ_chain_nesting(ctx: Context) -> Iterator[Result]:
+def _germ_chain_nesting(ctx: Context, p: Poset) -> Iterator[Result]:
     """Distinct germs u, u' with cogerms v, v': u' > u forces
     v' >= u' > v >= u, and u' <= v forces u' <= v' < u <= v."""
-    for p in ctx.posets:
-        recs = grm(p)
-        for a in recs:
-            for b in recs:
-                if a.germ == b.germ:
-                    continue
-                u, v = a.germ, a.cogerm
-                u2, v2 = b.germ, b.cogerm
-                inst = f"{describe_poset(p)}; germs {p.labels[u]},{p.labels[u2]}"
-                if p.lt(u, u2):
-                    ok = p.leq(u2, v2) and p.lt(v, u2) and p.leq(u, v)
-                    yield inst, ok, "chain v' >= u' > v >= u broken"
-                if p.leq(u2, v):
-                    ok = p.leq(u2, v2) and p.lt(v2, u) and p.leq(u, v)
-                    yield inst, ok, "chain u' <= v' < u <= v broken"
+    recs = grm(p)
+    for a in recs:
+        for b in recs:
+            if a.germ == b.germ:
+                continue
+            u, v = a.germ, a.cogerm
+            u2, v2 = b.germ, b.cogerm
+            suffix = f"; germs {p.labels[u]},{p.labels[u2]}"
+            if p.lt(u, u2):
+                ok = p.leq(u2, v2) and p.lt(v, u2) and p.leq(u, v)
+                yield suffix, ok, "chain v' >= u' > v >= u broken"
+            if p.leq(u2, v):
+                ok = p.leq(u2, v2) and p.lt(v2, u) and p.leq(u, v)
+                yield suffix, ok, "chain u' <= v' < u <= v broken"
 
 
-def _pred_base_detects(ctx: Context) -> Iterator[Result]:
+def _base_detects(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """A germ extension is detected by its base."""
-    for s, u_mask, inst in _extension_pairs(ctx):
-        yield inst, detects(s, u_mask), "not detected"
+    yield "", detects(s, u_mask), "not detected"
 
 
-def _pred_shadow_shape_exclusive(ctx: Context) -> Iterator[Result]:
+def _shadow_shape_exclusive(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """In a germ extension, every shadow U_{<=s} is a cut U_{<=B} or a
     strict germ cut, never both, never neither."""
-    for s, u_mask, inst in _extension_pairs(ctx):
-        for t in range(s.n):
-            b = lambda_witness(s, u_mask, t)
-            r = germ_cut_witness(s, u_mask, t)
-            yield (
-                f"{inst}; s={s.labels[t]}",
-                (b is None) != (r is None),
-                "both shapes" if b is not None and r is not None else "neither shape",
-            )
+    for t in range(s.n):
+        b = lambda_witness(s, u_mask, t)
+        r = germ_cut_witness(s, u_mask, t)
+        yield (
+            f"; s={s.labels[t]}",
+            (b is None) != (r is None),
+            "both shapes" if b is not None and r is not None else "neither shape",
+        )
 
 
-def _pred_shadows_force_extension(ctx: Context) -> Iterator[Result]:
+def _shadows_force_extension(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """Detection plus both shadow shapes everywhere forces a germ
     extension."""
-    for s, u_mask, inst in _pairs(ctx):
-        if not detects(s, u_mask):
-            continue
-        if any(
-            lambda_witness(s, u_mask, t) is None
-            and germ_cut_witness(s, u_mask, t) is None
-            for t in range(s.n)
-        ):
-            continue
+    if detects(s, u_mask) and all(
+        lambda_witness(s, u_mask, t) is not None
+        or germ_cut_witness(s, u_mask, t) is not None
+        for t in range(s.n)
+    ):
         yield (
-            inst,
+            "",
             is_germ_extension(s, u_mask),
             "hypotheses hold but some non-base element is not a germ",
         )
 
 
-def _pred_intermediate_extension(ctx: Context) -> Iterator[Result]:
+def _intermediate_extension(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """Anything between a base and a germ extension of it is again a germ
     extension of the base."""
-    for s, u_mask, inst in _extension_pairs(ctx):
-        rest = s.full_mask & ~u_mask
-        sub_bits = list(bit_indices(rest))
-        for pick in range(1 << len(sub_bits)):
-            r_mask = u_mask | mask_of(sub_bits[k] for k in bit_indices(pick))
-            # R germ-extends U when everything R adds is a germ of R
-            r_germs = mask_of(r for r, _ in germs_within(s.up, s.down, r_mask))
-            yield (
-                f"{inst}; R={set_label(s, r_mask)}",
-                r_mask & ~u_mask & ~r_germs == 0,
-                "intermediate poset is not a germ extension",
-            )
+    rest = s.full_mask & ~u_mask
+    sub_bits = list(bit_indices(rest))
+    for pick in range(1 << len(sub_bits)):
+        r_mask = u_mask | mask_of(sub_bits[k] for k in bit_indices(pick))
+        # R germ-extends U when everything R adds is a germ of R
+        r_germs = mask_of(r for r, _ in germs_within(s.up, s.down, r_mask))
+        yield (
+            f"; R={set_label(s, r_mask)}",
+            r_mask & ~u_mask & ~r_germs == 0,
+            "intermediate poset is not a germ extension",
+        )
 
 
 def _count_base_fixing_embeddings(clos, s: Poset, inclusion: list[int]) -> int:
@@ -207,227 +186,231 @@ def _count_base_fixing_embeddings(clos, s: Poset, inclusion: list[int]) -> int:
     return len(embeddings(s, clos.poset, candidates, limit=2))
 
 
-def _pred_universal_property(ctx: Context) -> Iterator[Result]:
+def _universal_property(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """A germ extension embeds into the closure of its base by
     s -> U_{<=s}, and no other base-fixing embedding exists."""
-    for s, u_mask, inst in _extension_pairs(ctx):
-        try:
-            clos, _ = canonical_embed(s, u_mask)
-        except InvariantViolation as e:
-            yield inst, False, f"canonical embedding broke: {e}"
-            continue
-        n_embeddings = _count_base_fixing_embeddings(clos, s, list(bit_indices(u_mask)))
-        yield inst, n_embeddings == 1, f"{n_embeddings} base-fixing embeddings"
+    clos, _ = canonical_embed(s, u_mask)
+    n_embeddings = _count_base_fixing_embeddings(clos, s, list(bit_indices(u_mask)))
+    yield "", n_embeddings == 1, f"{n_embeddings} base-fixing embeddings"
 
 
 # -- closure facts -----------------------------------------------------------
 
 
-def _pred_lambda_ghat_disjoint(ctx: Context) -> Iterator[Result]:
+def _lambda_ghat_disjoint(ctx: Context, p: Poset) -> Iterator[Result]:
     """The cut family and the germ-cut family never overlap, and no two
     germs share a strict cut."""
-    for p in ctx.posets:
-        lam = set(lambda_sets(p))
-        ghat = ghat_sets(p)
-        ok = not lam.intersection(ghat) and len(set(ghat)) == len(ghat)
-        yield describe_poset(p), ok, "cut families overlap"
+    lam = set(lambda_sets(p))
+    ghat = ghat_sets(p)
+    ok = not lam.intersection(ghat) and len(set(ghat)) == len(ghat)
+    yield "", ok, "cut families overlap"
 
 
-def _pred_closure_lattice(ctx: Context) -> Iterator[Result]:
+def _closure_lattice_fault(p: Poset, clos: GermClosure) -> str:
+    """The first way G(p) falls short of closure-lattice's fact, or ""."""
+    members = set(clos.masks)
+    if 0 not in members or p.full_mask not in members:
+        return "missing empty set or full base"
+    lat = Lattice.from_poset(clos.poset)
+    for i in range(clos.n):
+        for j in range(i + 1, clos.n):
+            inter = clos.masks[i] & clos.masks[j]
+            if inter not in members:
+                return "not intersection closed"
+            incomparable = clos.masks[i] & ~clos.masks[j] and clos.masks[j] & ~clos.masks[i]
+            if incomparable and not isinstance(clos.cases[clos.index_of(inter)], LambdaCase):
+                return "incomparable meet outside the cut family"
+            if lat.meet(i, j) != clos.index_of(inter):
+                return "lattice meet is not intersection"
+            if lat.join(i, j) != clos.join(i, j):
+                return "joins disagree with least upper cover"
+    return ""
+
+
+def _closure_lattice(ctx: Context, p: Poset) -> Iterator[Result]:
     """The closure contains the empty set and all of U, is closed under
     intersection (incomparable pairs landing in the cut family), and is a
     lattice whose meets are intersections."""
-    for p, clos in ctx.closures():
-        inst = describe_poset(p)
-        members = set(clos.masks)
-        if 0 not in members or p.full_mask not in members:
-            yield inst, False, "missing empty set or full base"
-            continue
-        try:
-            lat = Lattice.from_poset(clos.poset)
-        except NotALattice as e:
-            yield inst, False, f"closure is not a lattice: {e}"
-            continue
-        ok = True
-        detail = ""
-        for i in range(clos.n):
-            for j in range(i + 1, clos.n):
-                inter = clos.masks[i] & clos.masks[j]
-                if inter not in members:
-                    ok, detail = False, "not intersection closed"
-                    break
-                incomparable = (
-                    clos.masks[i] & ~clos.masks[j] and clos.masks[j] & ~clos.masks[i]
-                )
-                if incomparable and not isinstance(
-                    clos.cases[clos.index_of(inter)], LambdaCase
-                ):
-                    ok, detail = False, "incomparable meet outside the cut family"
-                    break
-                if lat.meet(i, j) != clos.index_of(inter):
-                    ok, detail = False, "lattice meet is not intersection"
-                    break
-                if lat.join(i, j) != clos.join(i, j):
-                    ok, detail = False, "joins disagree with least upper cover"
-                    break
-            if not ok:
-                break
-        yield inst, ok, detail
+    fault = _closure_lattice_fault(p, ctx.closure(p))
+    yield "", not fault, fault
 
 
-def _pred_germ_transfer(ctx: Context) -> Iterator[Result]:
+def _germ_transfer(ctx: Context, s: Poset, u_mask: int) -> Iterator[Result]:
     """Germs passing between a germ extension and its base: base elements
     that are ambient germs are base germs; each base germ keeps its chain
     and either stays an ambient germ with the same cogerm or sits right
     above an ambient germ outside the base with that cogerm."""
-    for s, u_mask, inst in _extension_pairs(ctx):
-        base_germs = germs_within(s.up, s.down, u_mask)
-        base_germ_mask = mask_of(r for r, _ in base_germs)
-        for rec in grm(s):
-            if u_mask >> rec.germ & 1:
-                yield (
-                    f"{inst}; s={s.labels[rec.germ]}",
-                    bool(base_germ_mask >> rec.germ & 1),
-                    "ambient germ in the base is not a base germ",
-                )
-        s_germ_recs = {r.germ: r for r in grm(s)}
-        for r, rhat in base_germs:
-            inst_r = f"{inst}; r={s.labels[r]}"
-            # [r,r^]_U is [r,r^]_S restricted to U, so they differ when S adds to it
-            if s.closed(r, rhat) & ~u_mask:
-                yield inst_r, False, "[r,r^]_S differs from [r,r^]_U"
-                continue
-            cut = s.strict_down(r)
-            case_a = s.sup_of(cut) == r
-            greatest = next(
-                (x for x in bit_indices(cut) if cut & ~s.down[x] == 0), None
+    base_germs = germs_within(s.up, s.down, u_mask)
+    base_germ_mask = mask_of(r for r, _ in base_germs)
+    for rec in grm(s):
+        if u_mask >> rec.germ & 1:
+            yield (
+                f"; s={s.labels[rec.germ]}",
+                bool(base_germ_mask >> rec.germ & 1),
+                "ambient germ in the base is not a base germ",
             )
-            if case_a == (greatest is not None):
-                yield inst_r, False, "neither or both germ-passage cases triggered"
-                continue
-            if case_a:
-                got = s_germ_recs.get(r)
-                yield (
-                    inst_r,
-                    got is not None and got.cogerm == rhat,
-                    "r is sup of its cut but not an ambient germ with cogerm r^",
-                )
-            else:
-                got = s_germ_recs.get(greatest)
-                above = s.strict_up(greatest)
-                ok = (
-                    not u_mask >> greatest & 1
-                    and got is not None
-                    and got.cogerm == rhat
-                    and above >> r & 1
-                    and above & ~s.up[r] == 0
-                    and r not in s_germ_recs
-                )
-                yield inst_r, ok, "greatest-element case misbehaves"
+    s_germ_recs = {r.germ: r for r in grm(s)}
+    for r, rhat in base_germs:
+        suffix = f"; r={s.labels[r]}"
+        # [r,r^]_U is [r,r^]_S restricted to U, so they differ when S adds to it
+        if s.closed(r, rhat) & ~u_mask:
+            yield suffix, False, "[r,r^]_S differs from [r,r^]_U"
+            continue
+        cut = s.strict_down(r)
+        case_a = s.sup_of(cut) == r
+        greatest = next(
+            (x for x in bit_indices(cut) if cut & ~s.down[x] == 0), None
+        )
+        if case_a == (greatest is not None):
+            yield suffix, False, "neither or both germ-passage cases triggered"
+            continue
+        if case_a:
+            got = s_germ_recs.get(r)
+            yield (
+                suffix,
+                got is not None and got.cogerm == rhat,
+                "r is sup of its cut but not an ambient germ with cogerm r^",
+            )
+        else:
+            got = s_germ_recs.get(greatest)
+            above = s.strict_up(greatest)
+            ok = (
+                not u_mask >> greatest & 1
+                and got is not None
+                and got.cogerm == rhat
+                and above >> r & 1
+                and above & ~s.up[r] == 0
+                and r not in s_germ_recs
+            )
+            yield suffix, ok, "greatest-element case misbehaves"
 
 
-def _pred_reconstruction(ctx: Context) -> Iterator[Result]:
-    """Reconstruction: the embedded base is exactly the closure minus its
-    germs, automorphisms transport bijectively, and stripping a lattice's
-    germs and closing gives the lattice back."""
-    for p, clos in ctx.closures():
-        inst = describe_poset(p)
-        image = mask_of(clos.embed)
-        ok = image == clos.poset.full_mask & ~grm_mask(clos.poset)
-        yield inst, ok, "embedded base is not closure minus germs"
-        try:
-            aut_transport(clos)
-            yield inst, True, ""
-        except InvariantViolation as e:
-            yield inst, False, f"automorphism transport broke: {e}"
-    for t in ctx.lattices:
-        inst = describe_poset(t.poset)
-        try:
-            reconstruct_from_lattice(t)
-            yield inst, True, ""
-        except InvariantViolation as e:
-            yield inst, False, f"reconstruction broke: {e}"
+def _reconstruction(ctx: Context, p: Poset) -> Iterator[Result]:
+    """Reconstruction, on the closure side: the embedded base is exactly
+    the closure minus its germs, and automorphisms transport bijectively."""
+    clos = ctx.closure(p)
+    image = mask_of(clos.embed)
+    ok = image == clos.poset.full_mask & ~grm_mask(clos.poset)
+    yield "", ok, "embedded base is not closure minus germs"
+    aut_transport(clos)
+    yield "", True, ""
+
+
+def _lattice_reconstruction(ctx: Context, t: Lattice) -> Iterator[Result]:
+    """Reconstruction, on the lattice side: stripping a lattice's germs
+    and closing gives the lattice back."""
+    reconstruct_from_lattice(t)
+    yield "", True, ""
 
 
 # -- lattice embedding facts -------------------------------------------------
 
 
-def _pred_nu_criterion(ctx: Context) -> Iterator[Result]:
+def _nu_criterion(ctx: Context, t: Lattice) -> Iterator[Result]:
     """ν is injective exactly when every germ clears its join, and ν is
     always monotone."""
-    for t in ctx.lattices:
-        desc = describe_poset(t.poset)
-        for u_mask in range(1 << t.n):
-            inst = f"{desc}; U={set_label(t.poset, u_mask)}"
-            try:
-                res = is_germ_extensible(t, u_mask)
-            except InvariantViolation:
-                # raised when the criterion holds but ν is not injective
-                yield inst, False, "criterion says True, injectivity says False"
-                continue
-            size = len(res.masks)
-            direct = len(set(res.nu_image)) == size
-            yield inst, res.extensible == direct, (
-                f"criterion says {res.extensible}, injectivity says {direct}"
-            )
-            monotone = all(
-                t.poset.leq(res.nu_image[i], res.nu_image[j])
-                for i in range(size)
-                for j in range(size)
-                if res.masks[i] & ~res.masks[j] == 0
-            )
-            if not monotone:
-                yield inst, False, "ν is not monotone"
+    for u_mask in range(1 << t.n):
+        suffix = f"; U={set_label(t.poset, u_mask)}"
+        try:
+            res = is_germ_extensible(t, u_mask)
+        except InvariantViolation:
+            # raised when the criterion holds but ν is not injective
+            yield suffix, False, "criterion says True, injectivity says False"
+            continue
+        size = len(res.masks)
+        direct = len(set(res.nu_image)) == size
+        yield suffix, res.extensible == direct, (
+            f"criterion says {res.extensible}, injectivity says {direct}"
+        )
+        monotone = all(
+            t.poset.leq(res.nu_image[i], res.nu_image[j])
+            for i in range(size)
+            for j in range(size)
+            if res.masks[i] & ~res.masks[j] == 0
+        )
+        if not monotone:
+            yield suffix, False, "ν is not monotone"
 
 
-def _pred_partition(ctx: Context) -> Iterator[Result]:
+def _partition(ctx: Context, t: Lattice) -> Iterator[Result]:
     """Unique bases tile the powerset into intervals [U, Ḡ(U)], and the
     full lattice's own base is the lattice minus its germs."""
-    for t in ctx.lattices:
-        inst = describe_poset(t.poset)
-        try:
-            cells = verify_partition(t)
-        except InvariantViolation as e:
-            yield inst, False, f"partition broke: {e}"
-            continue
-        total = sum(len(c.members) for c in cells)
-        yield inst, total == 1 << t.n, f"cells cover {total} of {1 << t.n} subsets"
-        base = next(c.base_mask for c in cells if c.top_mask == t.poset.full_mask)
-        ok = base == t.poset.full_mask & ~grm_mask(t.poset)
-        yield inst, ok, "base of the whole lattice is not lattice minus germs"
+    cells = verify_partition(t)
+    total = sum(len(c.members) for c in cells)
+    yield "", total == 1 << t.n, f"cells cover {total} of {1 << t.n} subsets"
+    base = next(c.base_mask for c in cells if c.top_mask == t.poset.full_mask)
+    ok = base == t.poset.full_mask & ~grm_mask(t.poset)
+    yield "", ok, "base of the whole lattice is not lattice minus germs"
 
 
-def _pred_irr_closure(ctx: Context) -> Iterator[Result]:
+def _irr_closure(ctx: Context, t: Lattice) -> Iterator[Result]:
     """The irreducibles are germ extensible and close onto G_T."""
-    for t in ctx.lattices:
-        yield describe_poset(t.poset), irr_closure_equals_g_t(t), "Ḡ(E) differs from G_T"
+    yield "", irr_closure_equals_g_t(t), "Ḡ(E) differs from G_T"
 
 
-def _pred_closure_vs_lowerset(ctx: Context) -> Iterator[Result]:
+def _closure_vs_lowerset(ctx: Context, p: Poset) -> Iterator[Result]:
     """Computing the closure inside the lower-set lattice by the operator
     route lands on the same two families."""
-    for p in ctx.posets:
-        lsl = lower_set_lattice(p)
-        masks = lsl.element_masks
-        lam = lambda_e(lsl)
-        lam_t = {masks[i] for i in bit_indices(lam)}
-        ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
-        lam_u = set(lambda_sets(p))
-        ghat_u = set(ghat_sets(p))
-        ok = lam_t == lam_u and ghat_via_t == ghat_u
-        yield describe_poset(p), ok, (
-            f"operator route gives Λ of {len(lam_t)} and Ĝ of {len(ghat_via_t)},"
-            f" closure has {len(lam_u)} and {len(ghat_u)}"
-        )
+    lsl = lower_set_lattice(p)
+    masks = lsl.element_masks
+    lam = lambda_e(lsl)
+    lam_t = {masks[i] for i in bit_indices(lam)}
+    ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
+    lam_u = set(lambda_sets(p))
+    ghat_u = set(ghat_sets(p))
+    ok = lam_t == lam_u and ghat_via_t == ghat_u
+    yield "", ok, (
+        f"operator route gives Λ of {len(lam_t)} and Ĝ of {len(ghat_via_t)},"
+        f" closure has {len(lam_u)} and {len(ghat_u)}"
+    )
 
 
-def _pred_op_duality_probe(ctx: Context) -> Iterator[Result]:
+def _op_duality_probe(ctx: Context, p: Poset) -> Iterator[Result]:
     """Advisory: G(U^op) and G(U)^op appear to be isomorphic."""
-    for p, clos in ctx.closures():
-        a = germ_closure(p.opposite()).poset
-        b = clos.poset.opposite()
-        ok = bool(isomorphisms(a, b, limit=1))
-        yield describe_poset(p), ok, "closure of the opposite is not the opposite closure"
+    a = germ_closure(p.opposite()).poset
+    b = ctx.closure(p).poset.opposite()
+    ok = bool(isomorphisms(a, b, limit=1))
+    yield "", ok, "closure of the opposite is not the opposite closure"
+
+
+# -- the walk ----------------------------------------------------------------
+
+
+def _instances(ctx: Context, over: str) -> Iterator[tuple[str, tuple]]:
+    """(description, check arguments) of every instance of one kind:
+    "posets" and "lattices" are the corpora, "pairs" every (s, U) with
+    |s| <= PAIR_LIMIT, and "extensions" those pairs where s germ-extends
+    U. Each poset is described once for all its pairs."""
+    if over == "lattices":
+        for t in ctx.lattices:
+            yield describe_poset(t.poset), (t,)
+        return
+    for s in ctx.posets:
+        if over == "posets":
+            yield describe_poset(s), (s,)
+        elif s.n <= PAIR_LIMIT:
+            desc = describe_poset(s)
+            for u_mask in range(1 << s.n):
+                if over == "pairs" or is_germ_extension(s, u_mask):
+                    yield f"{desc}; U={set_label(s, u_mask)}", (s, u_mask)
+
+
+def _walk(*parts: tuple[str, Check]) -> Callable[[Context], Iterator[Result]]:
+    """The predicate that runs each (kind, check) part in turn over every
+    instance of its kind. An exception the check raises fails that
+    instance, named by its type and message, after whatever the check
+    yielded before it, and the walk goes on to the next instance."""
+
+    def walk(ctx: Context) -> Iterator[Result]:
+        for over, check in parts:
+            for head, args in _instances(ctx, over):
+                try:
+                    for suffix, ok, detail in check(ctx, *args):
+                        yield head + suffix, ok, detail
+                except Exception as e:
+                    yield head, False, f"{type(e).__name__}: {e}"
+
+    return walk
 
 
 @dataclass(frozen=True)
@@ -440,22 +423,27 @@ class Predicate:
 PREDICATES: dict[str, Predicate] = {
     p.name: p
     for p in [
-        Predicate("cogerm-uniqueness", _pred_cogerm_uniqueness),
-        Predicate("germ-chain-nesting", _pred_germ_chain_nesting),
-        Predicate("base-detects", _pred_base_detects),
-        Predicate("shadow-shape-exclusive", _pred_shadow_shape_exclusive),
-        Predicate("shadows-force-extension", _pred_shadows_force_extension),
-        Predicate("intermediate-extension", _pred_intermediate_extension),
-        Predicate("universal-property", _pred_universal_property),
-        Predicate("lambda-ghat-disjoint", _pred_lambda_ghat_disjoint),
-        Predicate("closure-lattice", _pred_closure_lattice),
-        Predicate("germ-transfer", _pred_germ_transfer),
-        Predicate("reconstruction", _pred_reconstruction),
-        Predicate("nu-criterion", _pred_nu_criterion),
-        Predicate("partition", _pred_partition),
-        Predicate("irr-closure-is-g-t", _pred_irr_closure),
-        Predicate("closure-vs-lowerset", _pred_closure_vs_lowerset),
-        Predicate("op-duality-probe", _pred_op_duality_probe, advisory=True),
+        Predicate("cogerm-uniqueness", _walk(("posets", _cogerm_uniqueness))),
+        Predicate("germ-chain-nesting", _walk(("posets", _germ_chain_nesting))),
+        Predicate("base-detects", _walk(("extensions", _base_detects))),
+        Predicate("shadow-shape-exclusive", _walk(("extensions", _shadow_shape_exclusive))),
+        Predicate("shadows-force-extension", _walk(("pairs", _shadows_force_extension))),
+        Predicate("intermediate-extension", _walk(("extensions", _intermediate_extension))),
+        Predicate("universal-property", _walk(("extensions", _universal_property))),
+        Predicate("lambda-ghat-disjoint", _walk(("posets", _lambda_ghat_disjoint))),
+        Predicate("closure-lattice", _walk(("posets", _closure_lattice))),
+        Predicate("germ-transfer", _walk(("extensions", _germ_transfer))),
+        Predicate(
+            "reconstruction",
+            _walk(("posets", _reconstruction), ("lattices", _lattice_reconstruction)),
+        ),
+        Predicate("nu-criterion", _walk(("lattices", _nu_criterion))),
+        Predicate("partition", _walk(("lattices", _partition))),
+        Predicate("irr-closure-is-g-t", _walk(("lattices", _irr_closure))),
+        Predicate("closure-vs-lowerset", _walk(("posets", _closure_vs_lowerset))),
+        Predicate(
+            "op-duality-probe", _walk(("posets", _op_duality_probe)), advisory=True
+        ),
     ]
 }
 

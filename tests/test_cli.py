@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import germclosure.embed
 from germclosure import enumeration
 from germclosure.cli import main
 from test_repdim import count_closures_and_chains
@@ -212,6 +213,26 @@ def test_dim_builds_its_closures_once_per_table(tmp_path, capsys, monkeypatch):
         code, out, _ = run(["dim", str(doc), "--x-max", x_max], capsys)
         assert code == 0 and len(out.splitlines()) == int(x_max) + 2
         assert sorted(built) == ["germ_closure"] * 2 + ["stabilizer_chain"]
+
+
+@pytest.mark.parametrize(
+    "subset, closed",
+    [("H,I,E,F,G,A,B", [1654]), ("bot,H,I,M,E,F,G,C,D,A,B,top", [4095, 2038])],
+)
+def test_base_closes_an_extensible_subset_once(subset, closed, capsys, monkeypatch):
+    """base closes S, then closes U only when germ removal dropped
+    something from S; an extensible S is its own base."""
+    calls = []
+    real_extensible = germclosure.embed.is_germ_extensible
+
+    def counted_extensible(t, u_mask):
+        calls.append(u_mask)
+        return real_extensible(t, u_mask)
+
+    monkeypatch.setattr(germclosure.embed, "is_germ_extensible", counted_extensible)
+    code, _, _ = run(["base", str(INPUTS / "twelve.txt"), "--subset", subset], capsys)
+    assert code == 0
+    assert calls == closed
 
 
 def test_partition_beyond_the_size_cap_exits_3(tmp_path, capsys):

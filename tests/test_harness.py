@@ -167,7 +167,7 @@ def test_nu_criterion_names_a_join_map_that_is_not_injective(monkeypatch):
 
 def test_closure_lattice_names_a_closure_that_is_not_a_lattice(monkeypatch):
     """A NotALattice from the closure's lattice check fails that poset's
-    instance and the run goes on to the next poset."""
+    instance, named by the walk, and the run goes on to the next poset."""
 
     def refuse(p):
         raise NotALattice("no join")
@@ -176,7 +176,42 @@ def test_closure_lattice_names_a_closure_that_is_not_a_lattice(monkeypatch):
     spec = CorpusSpec(3, "posets")
     [report] = run_suite(spec, ["closure-lattice"])
     assert report.checked == len(report.failures) == len(corpus(spec))
-    assert report.failures[0] == ("elements: ; relations: ", "closure is not a lattice: no join")
+    assert report.failures[0] == ("elements: ; relations: ", "NotALattice: no join")
+
+
+def test_a_check_that_raises_keeps_what_it_yielded(monkeypatch):
+    """An exception partway through a check fails that instance by name
+    after the results it already yielded, and the walk goes on to the
+    next instance, so the count is what a green run gives."""
+
+    def refuse(clos):
+        raise RuntimeError("no transport")
+
+    monkeypatch.setattr(germclosure.harness, "aut_transport", refuse)
+    specs = [CorpusSpec(3, "posets"), CorpusSpec(3, "lattices")]
+    [report] = run_suite(specs, ["reconstruction"])
+    assert report.checked == 21
+    assert report.failures == tuple(
+        (describe_poset(p), "RuntimeError: no transport") for p in corpus(specs[0])
+    )
+
+
+def test_a_closure_that_fails_to_build_fails_only_its_own_instance(monkeypatch):
+    """Closures are keyed by their poset, so one that cannot be built
+    fails its poset's instances and every other poset still reads its
+    own closure."""
+    posets = corpus(CorpusSpec(3, "posets"))
+
+    def build(p):
+        if p == posets[1]:
+            raise ValueError("no closure")
+        return germ_closure(p)
+
+    monkeypatch.setattr(germclosure.harness, "germ_closure", build)
+    reports = run_suite(CorpusSpec(3, "posets"), ["closure-lattice", "reconstruction"])
+    for report in reports:
+        assert report.failures == ((describe_poset(posets[1]), "ValueError: no closure"),)
+    assert [r.checked for r in reports] == [len(posets), 2 * len(posets) - 1]
 
 
 def _count_closures(monkeypatch) -> list:
@@ -212,6 +247,7 @@ def test_context_closes_each_poset_in_its_own_instance(monkeypatch):
     for k in range(1, len(posets) + 1):
         next(results)
         assert built == posets[:k]
-    first, again = list(ctx.closures()), list(ctx.closures())
-    assert all(a[1] is b[1] for a, b in zip(first, again))
-    assert len(built) == len(posets)
+    first = [ctx.closure(p) for p in posets]
+    list(PREDICATES["reconstruction"].fn(ctx))
+    assert all(ctx.closure(p) is clos for p, clos in zip(posets, first))
+    assert built == posets

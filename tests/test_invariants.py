@@ -10,6 +10,8 @@ import germclosure
 import germclosure.closure
 import germclosure.embed
 from germclosure.cli import main
+from germclosure.germs import GermCutCase
+from germclosure.harness import PREDICATES
 
 PACKAGE = Path(germclosure.__file__).parent
 TWELVE = Path(__file__).parent / "golden" / "inputs" / "twelve.txt"
@@ -51,15 +53,40 @@ def test_every_import_in_the_package_is_used():
 
 def test_reconstruction_reports_a_broken_embedding(monkeypatch, capsys):
     """A canonical embedding that fails its order check makes every
-    lattice of the reconstruction predicate fail, with or without -O."""
+    lattice of the reconstruction predicate fail, named by the exception,
+    with or without -O."""
     monkeypatch.setattr(germclosure.closure, "detects", lambda p, u_mask: False)
     argv = ["verify", "--max-size", "3", "--lattice-max-size", "3", "--predicates", "reconstruction"]
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1
     assert out.splitlines()[0] == "reconstruction: checked=21 3 failures"
-    assert out.count("| reconstruction broke: canonical embedding does not preserve the order") == 3
+    assert out.count("| InvariantViolation: canonical embedding does not preserve the order") == 3
     assert err == ""
+
+
+def test_verify_reports_every_predicate_when_germ_cuts_are_dropped(monkeypatch, capsys):
+    """A closure kernel that loses its germ cuts breaks the closures the
+    predicates index into; each exception fails its instance by name,
+    every predicate still reports, and verify exits 1 without a
+    traceback."""
+    real = germclosure.closure.closure_masks
+
+    def without_germ_cuts(up, down, u_mask):
+        masks, cases = real(up, down, u_mask)
+        kept = [(m, c) for m, c in zip(masks, cases) if not isinstance(c, GermCutCase)]
+        return tuple(m for m, _ in kept), tuple(c for _, c in kept)
+
+    for module in (germclosure.closure, germclosure.embed):
+        monkeypatch.setattr(module, "closure_masks", without_germ_cuts)
+    code = main(["verify", "--max-size", "5", "--lattice-max-size", "6"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    reports = [line for line in out.splitlines() if not line.startswith("  FAIL ")]
+    assert [line.split(":")[0] for line in reports] == list(PREDICATES)
+    assert "universal-property: checked=40 5 failures" in reports
+    assert out.count("| KeyError: ") == 19
 
 
 def test_cli_names_a_broken_invariant(monkeypatch, capsys):
