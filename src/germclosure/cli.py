@@ -9,6 +9,7 @@ documents, 3 for blown enumeration caps, 4 for a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -26,7 +27,7 @@ from .dot import to_dot
 from .embed import g_sharp, is_germ_extensible, unique_base, verify_partition
 from .enumeration import CorpusSpec
 from .errors import CapExceeded, DocumentSyntaxError, InvariantViolation, PosetError
-from .germs import LambdaCase, grm
+from .germs import grm
 from .harness import PREDICATES, run_suite
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import Poset, automorphism_count, set_label
@@ -57,10 +58,10 @@ def cmd_grm(args) -> int:
 
 
 def _case_str(clos: GermClosure, i: int) -> str:
-    case = clos.cases[i]
-    if isinstance(case, LambdaCase):
-        return f"cut of {set_label(clos.base, case.witness)}"
-    return f"germ cut at {clos.base.labels[case.germ]}"
+    witness = clos.witness(i)
+    if witness is not None:
+        return f"cut of {set_label(clos.base, witness)}"
+    return f"germ cut at {clos.base.labels[clos.cases[i].germ]}"
 
 
 def cmd_closure(args) -> int:
@@ -236,7 +237,11 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and reused. The
+    handlers look library names up when they run, so a name rebound
+    after the first call still reaches them."""
     top = argparse.ArgumentParser(
         prog="germclosure",
         description="Germ closures of posets: computation, embedding, verification.",

@@ -55,16 +55,20 @@ def ghat_sets(u: Poset) -> list[int]:
     return [u.strict_down(rec.germ) for rec in grm(u)]
 
 
+_CUT = LambdaCase()
+
+
 def closure_masks(
     up: Sequence[int], down: Sequence[int], u_mask: int
 ) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
     """G(U) for U = u_mask under the ambient rows, in ambient indices: the
     member masks sorted by (cardinality, bitmask) and each one's case,
-    LambdaCase with the largest cutting witness or GermCutCase with the germ.
+    the shared _CUT for a cut or GermCutCase with the germ. No witness is
+    computed here; GermClosure.witness reads one where it is printed.
     Raises ValueError for a mask with bits outside the rows."""
     check_subset(len(up), u_mask)
     cuts = _cuts(down, u_mask)
-    case_of: dict[int, ElementCase] = {m: LambdaCase(intersect_rows(up, m, u_mask)) for m in cuts}
+    case_of: dict[int, ElementCase] = dict.fromkeys(cuts, _CUT)
     for r, _ in germs_within(up, down, u_mask):
         cut = down[r] & u_mask & ~(1 << r)
         if cut in cuts:
@@ -82,8 +86,9 @@ class GermClosure:
     inclusion ordered, all in base's indices.
 
     masks[i] is the subset element i stands for; cases[i] says which
-    family it came from (LambdaCase with the largest cutting witness, or
-    GermCutCase with the germ). The views below are built on first use.
+    family it came from (LambdaCase for a cut, whose largest witness
+    witness(i) reads, or GermCutCase with the germ). The views below are
+    built on first use.
     """
 
     base: Poset
@@ -105,6 +110,14 @@ class GermClosure:
         """embed[k] is the element ]*,u] for the k-th element u of U."""
         down = self.base.down
         return tuple(self.index_of(down[u] & self.subset) for u in bit_indices(self.subset))
+
+    def witness(self, i: int) -> int | None:
+        """The largest B within U with U_{<=B} = masks[i] for a cut, that
+        is, the elements of U above all of masks[i]; None for a germ cut,
+        as lambda_witness says."""
+        if not isinstance(self.cases[i], LambdaCase):
+            return None
+        return intersect_rows(self.base.up, self.masks[i], self.subset)
 
     def index_of(self, mask: int) -> int:
         return self._by_mask[mask]

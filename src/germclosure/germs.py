@@ -151,9 +151,8 @@ def is_germ_extension(p: Poset, u_mask: int) -> bool:
 
 @dataclass(frozen=True)
 class LambdaCase:
-    """U_{<=s} is cut out by a subset B of U; witness is the largest one."""
-
-    witness: int
+    """U_{<=s} is cut out by a subset B of U. The largest such B is read
+    on demand: GermClosure.witness, or lambda_witness."""
 
 
 @dataclass(frozen=True)

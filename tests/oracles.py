@@ -50,7 +50,7 @@ def classify(p: Poset, u_mask: int, s: int) -> ElementCase:
     assert (b is None) != (r is None), (
         f"element {p.labels[s]} fits {'both shapes' if b is not None else 'neither shape'}"
     )
-    return LambdaCase(b) if b is not None else GermCutCase(r)
+    return LambdaCase() if b is not None else GermCutCase(r)
 
 
 def labelled_posets_by_filtering(n: int):

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import germclosure.closure
 import germclosure.embed
-from germclosure import enumeration
+from germclosure import cli, enumeration
 from germclosure.cli import main
+from germclosure.embed import verify_partition
 from test_repdim import count_closures_and_chains
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,6 +235,79 @@ def test_base_closes_an_extensible_subset_once(subset, closed, capsys, monkeypat
     code, _, _ = run(["base", str(INPUTS / "twelve.txt"), "--subset", subset], capsys)
     assert code == 0
     assert calls == closed
+
+
+def _count_intersect_rows(monkeypatch) -> list[int]:
+    """Record the mask of every closure.intersect_rows call."""
+    calls = []
+    real = germclosure.closure.intersect_rows
+
+    def counted(rows, mask, start):
+        calls.append(mask)
+        return real(rows, mask, start)
+
+    monkeypatch.setattr(germclosure.closure, "intersect_rows", counted)
+    return calls
+
+
+def test_witnesses_are_computed_only_where_printed(twelve, capsys, monkeypatch):
+    """The partition check reads no witness, and closure computes one
+    per cut it prints."""
+    calls = _count_intersect_rows(monkeypatch)
+    verify_partition(twelve)
+    assert calls == []
+    code, out, _ = run(["closure", str(INPUTS / "twelve.txt")], capsys)
+    assert code == 0
+    assert len(calls) == out.count(" cut of ") == 12
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    for name in ("vee", "npos"):
+        code, _, _ = run(["grm", str(INPUTS / f"{name}.txt")], capsys)
+        assert code == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuch", str(INPUTS / "vee.txt")],
+        ["dim", str(INPUTS / "vee.txt"), "--x-max", "-1"],
+        ["extensible", str(INPUTS / "twelve.txt")],
+    ],
+    ids=["unknown-command", "negative-x-max", "missing-subset"],
+)
+def test_reused_parser_rejects_like_a_fresh_one(argv, capsys):
+    """After a successful call, a usage error exits 2 with the stderr of
+    the same call on a freshly built parser."""
+    assert run(["grm", str(INPUTS / "vee.txt")], capsys)[0] == 0
+    with pytest.raises(SystemExit) as reused:
+        main(argv)
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        cli._parser.__wrapped__().parse_args(argv)
+    assert reused.value.code == fresh.value.code == 2
+    assert err.startswith("usage: germclosure")
+    assert err == capsys.readouterr().err
+
+
+def test_names_rebound_after_the_first_call_are_seen(capsys, monkeypatch):
+    """The reused parser's handlers look library names up when they run,
+    so a rebinding made after the parser was built still applies."""
+    doc = str(INPUTS / "vee.txt")
+    assert run(["grm", doc], capsys)[0] == 0
+    loaded = []
+    real = cli.load_document
+
+    def counted(path):
+        loaded.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_document", counted)
+    assert run(["grm", doc], capsys)[0] == 0
+    assert loaded == [doc]
 
 
 def test_partition_beyond_the_size_cap_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germclosure import (
+    GermClosure,
     GermCutCase,
     LambdaCase,
     Lattice,
@@ -27,6 +28,7 @@ from germclosure import (
     lower_set_lattice,
     reconstruct_from_lattice,
 )
+from germclosure.germs import lambda_witness
 from germclosure.poset import bit_indices, inclusion_poset, mask_of
 from oracles import induced_subposet
 from test_poset import random_dags
@@ -176,28 +178,32 @@ def test_canonical_embed_rejects_non_extension():
             canonical_embed(c2, foreign)
 
 
+def _witnesses(clos: GermClosure) -> list[int | None]:
+    return [clos.witness(i) for i in range(clos.n)]
+
+
 def _lifted_closure(p: Poset, mask: int):
-    """Members and cases of the closure of the copied subposet on mask,
-    lifted back into p's indices."""
+    """Members, cases and witnesses of the closure of the copied subposet
+    on mask, lifted back into p's indices."""
     keep = list(bit_indices(mask))
     clos = germ_closure(induced_subposet(p, mask))
     masks = tuple(_lift(m, keep) for m in clos.masks)
     cases = [
-        LambdaCase(_lift(c.witness, keep)) if isinstance(c, LambdaCase)
-        else GermCutCase(keep[c.germ])
+        c if isinstance(c, LambdaCase) else GermCutCase(keep[c.germ])
         for c in clos.cases
     ]
-    return masks, cases
+    witnesses = [None if w is None else _lift(w, keep) for w in _witnesses(clos)]
+    return masks, cases, witnesses
 
 
 def _pairwise_embed(s: Poset, u_mask: int):
     """canonical_embed by its definition, on a copied subposet, every
     order check a leq loop over pairs of elements: the oracle for the row
-    version. It returns (masks, cases, j), or the type of the exception
-    canonical_embed must raise."""
+    version. It returns (masks, cases, witnesses, j), or the type of the
+    exception canonical_embed must raise."""
     if not is_germ_extension(s, u_mask):
         return NotAGermExtension
-    masks, cases = _lifted_closure(s, u_mask)
+    masks, cases, witnesses = _lifted_closure(s, u_mask)
     index = {m: i for i, m in enumerate(masks)}
     j = []
     for t in range(s.n):
@@ -209,7 +215,7 @@ def _pairwise_embed(s: Poset, u_mask: int):
         for t2 in range(s.n):
             if s.leq(t1, t2) != (masks[j[t1]] & ~masks[j[t2]] == 0):
                 return AssertionError
-    return masks, cases, j
+    return masks, cases, witnesses, j
 
 
 def _embed_outcome(s: Poset, u_mask: int):
@@ -218,7 +224,7 @@ def _embed_outcome(s: Poset, u_mask: int):
     except (ValueError, NotAGermExtension, AssertionError) as e:
         return type(e)
     assert clos.base is s and clos.subset == u_mask
-    return clos.masks, list(clos.cases), j
+    return clos.masks, list(clos.cases), _witnesses(clos), j
 
 
 def _relabel(s: Poset, u_mask: int, perm: list[int]):
@@ -235,9 +241,9 @@ def _relabel(s: Poset, u_mask: int, perm: list[int]):
 def test_canonical_embed_matches_pairwise_definition(dag, data):
     """The row-built closure and embedding equal the ones of the copied
     subposet, lifted, on shuffled germ extensions and on random bases,
-    and a non-extension raises the same exception type. Masks, cases and
-    j are compared directly, so this holds under python -O too, where
-    the library's asserts are gone."""
+    and a non-extension raises the same exception type. Masks, cases,
+    witnesses and j are compared directly, so this holds under python -O
+    too, where the library's asserts are gone."""
     p = Poset.from_relations(*dag)
     if data.draw(st.booleans(), label="s inside the closure"):
         # s: a full subposet of G(p) holding the embedded base
@@ -261,8 +267,22 @@ def test_canonical_embed_rejects_like_the_pairwise_definition(vee, npos):
     with pytest.raises(NotAGermExtension):
         canonical_embed(vee, u)
     clos, j = canonical_embed(npos, npos.full_mask)
-    assert (clos.masks, list(clos.cases), j) == _pairwise_embed(npos, npos.full_mask)
+    expected = (clos.masks, list(clos.cases), _witnesses(clos), j)
+    assert expected == _pairwise_embed(npos, npos.full_mask)
     assert j == list(germ_closure(npos).embed)
+
+
+def test_witness_is_the_lambda_witness_of_each_embedded_element():
+    """On every germ extension s of U over posets ≤4, the member j(t)
+    has witness(j(t)) = lambda_witness(s, U, t), None for a germ cut."""
+    for s in (p for n in range(5) for p in enumerate_posets(n)):
+        for u_mask in range(1 << s.n):
+            if not is_germ_extension(s, u_mask):
+                continue
+            clos, j = canonical_embed(s, u_mask)
+            assert [clos.witness(j[t]) for t in range(s.n)] == [
+                lambda_witness(s, u_mask, t) for t in range(s.n)
+            ]
 
 
 def test_reconstruct_twelve(twelve):
@@ -381,7 +401,8 @@ def test_closure_masks_match_closure_of_subposet(data, bits):
     p = Poset.from_relations(*data)
     mask = bits & p.full_mask
     masks, cases = closure_masks(p.up, p.down, mask)
-    assert (masks, list(cases)) == _lifted_closure(p, mask)
+    witnesses = _witnesses(GermClosure(p, mask, masks, cases))
+    assert (masks, list(cases), witnesses) == _lifted_closure(p, mask)
 
 
 # 1 << 2 is the first index past chain(2)

@@ -165,6 +165,17 @@ def test_nu_criterion_names_a_join_map_that_is_not_injective(monkeypatch):
     }
 
 
+def test_nu_criterion_names_a_join_map_that_is_not_monotone(monkeypatch):
+    """A join map that reverses the index order stays injective, so the
+    injectivity side cannot see it; the monotonicity check names it,
+    once for each U whose ν breaks the inclusion order."""
+    real = Lattice.join_mask
+    monkeypatch.setattr(Lattice, "join_mask", lambda self, mask: self.n - 1 - real(self, mask))
+    [report] = run_suite([CorpusSpec(0), CorpusSpec(4, "lattices")], ["nu-criterion"])
+    assert report.checked == 63
+    assert [d for _, d in report.failures].count("ν is not monotone") == 17
+
+
 def test_closure_lattice_names_a_closure_that_is_not_a_lattice(monkeypatch):
     """A NotALattice from the closure's lattice check fails that poset's
     instance, named by the walk, and the run goes on to the next poset."""
