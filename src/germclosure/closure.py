@@ -25,7 +25,7 @@ from .germs import (
 )
 from .lattice import Lattice
 from .poset import (
-    Poset, bit_indices, check_subset, embeddings, inclusion_poset, intersect_rows, mask_of,
+    Poset, bit_indices, check_subset, inclusion_poset, intersect_rows, mask_of,
     sorted_by_size, stabilizer_chain,
 )
 
@@ -184,20 +184,24 @@ def aut_transport(closure: GermClosure) -> tuple[int, int]:
     u, (order_u, gens_u) = closure.base, stabilizer_chain(closure.base)
     if closure.subset != u.full_mask:
         raise ValueError("automorphism transport needs the closure of the whole base")
-    g, by_mask, embed = closure.poset, closure._by_mask, closure.embed
-    order_g, gens_g = stabilizer_chain(g)
+    by_mask, embed = closure._by_mask, closure.embed
+    order_g, gens_g = stabilizer_chain(closure.poset)
     for alpha in gens_u:
-        moved = (mask_of(alpha[i] for i in bit_indices(m)) for m in closure.masks)
-        lift = [1 << by_mask[m] if m in by_mask else 0 for m in moved]
-        if not embeddings(g, g, lift, limit=1):
+        # alpha permutes u, so it keeps inclusion between masks both ways; its
+        # action on the members is an automorphism of G(u) exactly when every
+        # moved member is a member
+        lift = [by_mask.get(mask_of(alpha[i] for i in bit_indices(m)), -1) for m in closure.masks]
+        if -1 in lift:
             raise InvariantViolation("a lifted action is not an automorphism")
-        if any(lift[embed[k]] != 1 << embed[a] for k, a in enumerate(alpha)):
+        if any(lift[embed[k]] != embed[a] for k, a in enumerate(alpha)):
             raise InvariantViolation("a lift does not extend its base automorphism")
     back = {e: k for k, e in enumerate(embed)}
     for gamma in gens_g:
         if {gamma[e] for e in embed} != back.keys():
             raise InvariantViolation("a closure automorphism moves the embedded base")
-        if not embeddings(u, u, [1 << back[gamma[e]] for e in embed], limit=1):
+        # beta permutes u; it is an automorphism when it carries up rows to up rows
+        beta = [back[gamma[e]] for e in embed]
+        if any(mask_of(beta[j] for j in bit_indices(row)) != u.up[b] for row, b in zip(u.up, beta)):
             raise InvariantViolation("a restricted automorphism does not preserve the base order")
     if order_u != order_g:
         raise InvariantViolation(f"|Aut(base)| = {order_u} but |Aut(closure)| = {order_g}")

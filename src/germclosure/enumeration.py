@@ -1,5 +1,11 @@
 """Exhaustive corpora of small posets and lattices.
 
+Every corpus is one level walk: _levels yields the instances on 0, 1,
+..., max_size elements, one list per size, each level built from the one
+before. corpus flattens the walk; enumerate_posets and enumerate_lattices
+keep its last level. CorpusSpec checks the kind and the size caps before
+anything is built.
+
 Unlabelled posets are grown one size at a time, in the spirit of McKay's
 isomorph-free exhaustive generation: every finite poset has a maximal
 element, so each class on n elements arises from a representative on
@@ -16,7 +22,9 @@ exactly when their interiors are, so these need no deduplication.
 
 The labelled mode lists every labelled poset on n elements by extending
 each labelled poset on n-1 elements by a new element with a chosen
-(down-set, up-set) pair.
+(down-set, up-set) pair: a lower set and an upper set with every element
+of the one below every element of the other. Only up rows are kept; the
+lower sets come from poset.down_closed_masks on the transposed rows.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapExceeded, NotALattice
 from .lattice import Lattice
 from .poset import Poset, bit_indices, class_candidates, down_closed_masks, embeddings
-from .poset import mask_of, refined_invariants
+from .poset import intersect_rows, mask_of, refined_invariants, transpose
 
 POSET_SIZE_CAP = 7
 LATTICE_SIZE_CAP = 8
@@ -45,32 +53,20 @@ def _labels(n: int) -> list[str]:
 def labelled_posets_by_extension(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the up-rows of every labelled poset on n elements, built by
     adding one element at a time."""
-    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    level: list[tuple[int, ...]] = [()]
     for k in range(n):
+        full, bit = (1 << k) - 1, 1 << k
         nxt = []
-        for down, up in level:
-            full = (1 << k) - 1
-            lowers = down_closed_masks(down)
+        for up in level:
+            lowers = down_closed_masks(transpose(up, k))
             uppers = [full ^ m for m in lowers]
             for d_mask in lowers:
-                allowed = full & ~d_mask
-                for i in bit_indices(d_mask):
-                    allowed &= up[i]
-                for e_mask in uppers:
-                    if e_mask & ~allowed:
-                        continue
-                    new_down = tuple(
-                        down[j] | (1 << k if e_mask >> j & 1 else 0)
-                        for j in range(k)
-                    ) + (d_mask | 1 << k,)
-                    new_up = tuple(
-                        up[j] | (1 << k if d_mask >> j & 1 else 0)
-                        for j in range(k)
-                    ) + (e_mask | 1 << k,)
-                    nxt.append((new_down, new_up))
+                # what lies above the new element lies above all of d_mask, outside it
+                allowed = intersect_rows(up, d_mask, full & ~d_mask)
+                grown = tuple(row | bit if d_mask >> j & 1 else row for j, row in enumerate(up))
+                nxt += [grown + (e_mask | bit,) for e_mask in uppers if not e_mask & ~allowed]
         level = nxt
-    for _, up in level:
-        yield up
+    yield from level
 
 
 def canonical_key(up: Sequence[int]) -> tuple[int, ...]:
@@ -119,34 +115,6 @@ def _extend_by_maximal(level: list[Poset]) -> list[Poset]:
     return iso_classes(candidates)
 
 
-def _poset_levels(max_n: int) -> Iterator[list[Poset]]:
-    """The unlabelled posets on 0, 1, ..., max_n elements, one list per
-    size, each built once from the one before."""
-    level = [Poset([], ())]
-    for n in range(max_n + 1):
-        if n:
-            level = _extend_by_maximal(level)
-        yield level
-
-
-def _check_poset_size(n: int, up_to_iso: bool) -> None:
-    if n > POSET_SIZE_CAP:
-        raise CapExceeded("poset enumeration size", POSET_SIZE_CAP)
-    if not up_to_iso and n > LABELLED_POSET_SIZE_CAP:
-        raise CapExceeded("labelled poset enumeration size", LABELLED_POSET_SIZE_CAP)
-
-
-def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
-    """Every poset on n elements, labelled a, b, c, ... One representative
-    per isomorphism class unless up_to_iso is off; every labelling only up
-    to LABELLED_POSET_SIZE_CAP elements."""
-    _check_poset_size(n, up_to_iso)
-    if not up_to_iso:
-        return [Poset(_labels(n), up) for up in labelled_posets_by_extension(n)]
-    levels = list(_poset_levels(n))
-    return levels[-1] if levels else []
-
-
 def _bounded_lattices(level: list[Poset]) -> list[Lattice]:
     """The lattices on k+2 elements: a bottom (element 0) and a top
     (element k+1) around each poset on k elements, where that gives a
@@ -163,25 +131,6 @@ def _bounded_lattices(level: list[Poset]) -> list[Lattice]:
     return out
 
 
-def _lattice_levels(max_n: int) -> Iterator[list[Lattice]]:
-    """The lattices on 0, 1, ..., max_n elements, one list per size: none
-    on 0 elements, the point on 1, bounded posets above."""
-    if max_n >= 0:
-        yield []
-    if max_n >= 1:
-        yield [Lattice.from_poset(Poset(_labels(1), (1,)))]
-    for level in _poset_levels(max_n - 2):
-        yield _bounded_lattices(level)
-
-
-def enumerate_lattices(n: int) -> list[Lattice]:
-    """Every lattice on n elements up to isomorphism."""
-    if n > LATTICE_SIZE_CAP:
-        raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
-    levels = list(_lattice_levels(n))
-    return levels[-1] if levels else []
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     max_size: int
@@ -195,18 +144,50 @@ class CorpusSpec:
             raise ValueError("lattice corpora exist only up to isomorphism")
         if self.max_size < 0:
             raise ValueError(f"corpus size must be nonnegative, got {self.max_size}")
-        if self.kind == "posets":
-            _check_poset_size(self.max_size, self.up_to_iso)
-        elif self.max_size > LATTICE_SIZE_CAP:
-            raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
+        if self.kind == "lattices":
+            if self.max_size > LATTICE_SIZE_CAP:
+                raise CapExceeded("lattice enumeration size", LATTICE_SIZE_CAP)
+        elif self.max_size > POSET_SIZE_CAP:
+            raise CapExceeded("poset enumeration size", POSET_SIZE_CAP)
+        elif not self.up_to_iso and self.max_size > LABELLED_POSET_SIZE_CAP:
+            raise CapExceeded("labelled poset enumeration size", LABELLED_POSET_SIZE_CAP)
+
+
+def _levels(spec: CorpusSpec) -> Iterator[list]:
+    """The instances of spec's kind on 0, 1, ..., spec.max_size elements,
+    one list per size. Lattices: none on 0 elements, the point on 1,
+    bounded posets above. Labelled posets: each size generated afresh."""
+    if spec.kind == "lattices":
+        yield []
+        if spec.max_size >= 1:
+            yield [Lattice.from_poset(Poset(_labels(1), (1,)))]
+        if spec.max_size >= 2:
+            yield from map(_bounded_lattices, _levels(CorpusSpec(spec.max_size - 2)))
+    elif not spec.up_to_iso:
+        for n in range(spec.max_size + 1):
+            yield [Poset(_labels(n), up) for up in labelled_posets_by_extension(n)]
+    else:
+        level = [Poset([], ())]
+        yield level
+        for _ in range(spec.max_size):
+            level = _extend_by_maximal(level)
+            yield level
 
 
 def corpus(spec: CorpusSpec) -> list:
     """All instances of the requested kind, sizes 0 through max_size."""
-    if spec.kind == "lattices":
-        return [t for level in _lattice_levels(spec.max_size) for t in level]
-    if not spec.up_to_iso:
-        return [
-            p for n in range(spec.max_size + 1) for p in enumerate_posets(n, False)
-        ]
-    return [p for level in _poset_levels(spec.max_size) for p in level]
+    return [x for level in _levels(spec) for x in level]
+
+
+def enumerate_posets(n: int, up_to_iso: bool = True) -> list[Poset]:
+    """Every poset on n elements, labelled a, b, c, ... One representative
+    per isomorphism class unless up_to_iso is off; every labelling only up
+    to LABELLED_POSET_SIZE_CAP elements."""
+    *_, last = _levels(CorpusSpec(n, "posets", up_to_iso))
+    return last
+
+
+def enumerate_lattices(n: int) -> list[Lattice]:
+    """Every lattice on n elements up to isomorphism."""
+    *_, last = _levels(CorpusSpec(n, "lattices"))
+    return last

@@ -33,6 +33,14 @@ def induced_subposet(p: Poset, mask: int) -> Poset:
     return Poset([p.labels[i] for i in keep], up)
 
 
+def lower_sets_by_definition(down) -> list[int]:
+    """Every m, ascending, holding the whole down row of each of its
+    elements."""
+    return [
+        m for m in range(1 << len(down)) if all(down[i] & ~m == 0 for i in bit_indices(m))
+    ]
+
+
 def is_germ(p: Poset, u: int) -> GermRecord | None:
     """u's germ record from the scan over every cogerm candidate v."""
     cands = cogerms_within(p.up, p.down, p.full_mask, u)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from germclosure import (
     GermClosure,
     GermCutCase,
+    InvariantViolation,
     LambdaCase,
     Lattice,
     NotAGermExtension,
@@ -29,7 +30,7 @@ from germclosure import (
     reconstruct_from_lattice,
 )
 from germclosure.germs import lambda_witness
-from germclosure.poset import bit_indices, inclusion_poset, mask_of
+from germclosure.poset import bit_indices, inclusion_poset, mask_of, stabilizer_chain
 from oracles import induced_subposet
 from test_poset import random_dags
 
@@ -354,6 +355,42 @@ def test_aut_transport_checks_the_closure_it_is_given(vee, monkeypatch):
     sub, _ = canonical_embed(vee, vee.subset(["a", "b"]))
     with pytest.raises(ValueError):
         aut_transport(sub)
+
+
+@pytest.mark.parametrize(
+    "fake_base, fake_closure, message",
+    [
+        # swapping a and c maps the member {a} to {c}, which is no lower set
+        (lambda order, gens: (order, [(2, 1, 0)]), None, "a lifted action is not an automorphism"),
+        # members 0..4 of G(vee) are {}, {a}, {b}, {a,b}, {a,b,c}; a, b, c embed as 1, 2, 4
+        (None, lambda order, gens: (order, [(0, 3, 2, 1, 4)]), "moves the embedded base"),
+        (
+            None,
+            lambda order, gens: (order, [(0, 4, 2, 3, 1)]),
+            "a restricted automorphism does not preserve the base order",
+        ),
+        (
+            None,
+            lambda order, gens: (order + 1, gens),
+            r"\|Aut\(base\)\| = 2 but \|Aut\(closure\)\| = 3",
+        ),
+    ],
+    ids=["lift", "base-moving", "restriction", "order"],
+)
+def test_aut_transport_names_a_broken_transport(vee, monkeypatch, fake_base, fake_closure, message):
+    """Each check fires on a stabilizer chain doctored to break it: the
+    first call is the base's chain, the second the closure's."""
+    real = stabilizer_chain
+    fakes = iter([fake_base, fake_closure])
+
+    def doctored(p):
+        fake = next(fakes)
+        return real(p) if fake is None else fake(*real(p))
+
+    clos = germ_closure(vee)
+    monkeypatch.setattr("germclosure.closure.stabilizer_chain", doctored)
+    with pytest.raises(InvariantViolation, match=message):
+        aut_transport(clos)
 
 
 def test_closure_agrees_with_lower_set_route():

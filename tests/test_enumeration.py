@@ -29,6 +29,8 @@ CORPUS_PINS = {
     "posets": (2451, "b4448dfe24bba7bce9173d9f5f50ab66fa59bce04be06babaae173752a9fc483"),
     "lattices": (300, "82ef2a7bce0a27a34cb42bb10f06b4779430f81358f5ef768c8a7691fbe74b60"),
 }
+# sha256 of repr(list(labelled_posets_by_extension(5)))
+LABELLED_5_SHA256 = "55a201c82f05f83dcf93e5b97a902ababaf49db067be68377829c272ebace763"
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -38,6 +40,12 @@ def test_labelled_counts_both_strategies(n):
     assert len(by_ext) == LABELLED[n]
     assert len(by_filter) == LABELLED[n]
     assert sorted(by_ext) == sorted(by_filter)
+
+
+def test_labelled_order_is_pinned():
+    """The exact sequence, not only the set, of the labelled posets on 5."""
+    rows = repr(list(labelled_posets_by_extension(5))).encode()
+    assert hashlib.sha256(rows).hexdigest() == LABELLED_5_SHA256
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -224,6 +232,14 @@ def test_corpus_spec_validation():
 def test_corpus_spec_rejects_a_negative_size(kind):
     with pytest.raises(ValueError):
         CorpusSpec(-1, kind)
+
+
+@pytest.mark.parametrize(
+    "enumerate_one", [enumerate_posets, enumerate_lattices], ids=["posets", "lattices"]
+)
+def test_enumerating_a_negative_size_raises(enumerate_one):
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_one(-1)
 
 
 def test_lattice_corpus_has_no_labelled_mode():

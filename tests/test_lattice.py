@@ -21,7 +21,8 @@ from germclosure import (
     r_inf,
     sigma_inf,
 )
-from germclosure.poset import bit_indices, mask_of, transpose
+from germclosure.lattice import DEFAULT_LOWER_SET_CAP
+from germclosure.poset import bit_indices, down_closed_masks, mask_of, transpose
 from oracles import induced_subposet
 from test_poset import random_dags
 
@@ -207,6 +208,17 @@ def test_lower_set_lattice_of_chain_and_antichain():
     assert lower_set_lattice(antichain(3)).n == 8
     with pytest.raises(CapExceeded):
         lower_set_lattice(antichain(4), cap=10)
+
+
+def test_default_lower_set_cap_stops_one_point_past_it(monkeypatch):
+    """An antichain on k points has 2**k lower sets: the largest k within
+    the default cap is counted in full, and one more point raises before
+    any inclusion order is built."""
+    k = DEFAULT_LOWER_SET_CAP.bit_length() - 1
+    assert len(down_closed_masks(antichain(k).down, DEFAULT_LOWER_SET_CAP)) == 1 << k
+    monkeypatch.setattr("germclosure.lattice.inclusion_poset", None)
+    with pytest.raises(CapExceeded):
+        lower_set_lattice(antichain(k + 1))
 
 
 def test_lower_set_lattice_join_is_union(npos):

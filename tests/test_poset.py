@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from germclosure import (
     CapExceeded,
+    CorpusSpec,
     CycleError,
     DuplicateLabel,
     Poset,
@@ -15,6 +16,7 @@ from germclosure import (
     antichain,
     automorphism_count,
     chain,
+    corpus,
     enumerate_lattices,
     enumerate_posets,
     isomorphisms,
@@ -28,7 +30,7 @@ from germclosure.poset import (
     set_label,
     stabilizer_chain,
 )
-from oracles import induced_subposet
+from oracles import induced_subposet, lower_sets_by_definition
 
 
 def test_from_relations_takes_transitive_closure(vee):
@@ -202,6 +204,21 @@ def test_down_closed_masks_ascending():
     with pytest.raises(CapExceeded):
         down_closed_masks(antichain(3).down, cap=7)
     assert len(down_closed_masks(antichain(3).down, cap=8)) == 8
+
+
+def test_down_closed_masks_match_the_definition_on_the_corpora():
+    orders = corpus(CorpusSpec(7)) + [t.poset for t in corpus(CorpusSpec(8, "lattices"))]
+    for p in orders:
+        assert down_closed_masks(p.down) == lower_sets_by_definition(p.down), p.up
+
+
+@given(st.data())
+def test_down_closed_masks_match_the_definition_under_relabelling(data):
+    """random_dags are naturally labelled; a shuffled label list puts the
+    elements in an index order that need not extend the order."""
+    labels, rels = data.draw(random_dags(max_n=10))
+    p = Poset.from_relations(data.draw(st.permutations(labels)), rels)
+    assert down_closed_masks(p.down) == lower_sets_by_definition(p.down)
 
 
 def test_isomorphism_respects_order():
