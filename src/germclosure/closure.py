@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotAGermExtension
 from .germs import (
@@ -67,9 +67,16 @@ def closure_masks(
     computed here; GermClosure.witness reads one where it is printed.
     Raises ValueError for a mask with bits outside the rows."""
     check_subset(len(up), u_mask)
+    return _members(down, u_mask, germs_within(up, down, u_mask))
+
+
+def _members(
+    down: Sequence[int], u_mask: int, germs: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
+    """closure_masks once the (germ, cogerm) pairs of U are known."""
     cuts = _cuts(down, u_mask)
     case_of: dict[int, ElementCase] = dict.fromkeys(cuts, _CUT)
-    for r, _ in germs_within(up, down, u_mask):
+    for r, _ in germs:
         cut = down[r] & u_mask & ~(1 << r)
         if cut in cuts:
             raise InvariantViolation("cut families overlap")
@@ -138,7 +145,10 @@ class GermClosure:
 
 
 def germ_closure(u: Poset) -> GermClosure:
-    return GermClosure(u, u.full_mask, *closure_masks(u.up, u.down, u.full_mask))
+    """G(u) for all of u, built from grm(u)'s germs, so a poset whose
+    germs were already found is not walked again."""
+    germs = [(rec.germ, rec.cogerm) for rec in grm(u)]
+    return GermClosure(u, u.full_mask, *_members(u.down, u.full_mask, germs))
 
 
 def canonical_embed(s: Poset, u_mask: int) -> tuple[GermClosure, list[int]]:

@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .poset import Poset, bit_indices, check_subset, intersect_rows, mask_of
+from .poset import (
+    Poset, bit_indices, check_subset, intersect_rows, lower_bounds_in, mask_of, upper_bounds_in,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,10 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
     for a mask with bits outside the rows.
 
     The cogerm is found by the bridge walk of the module docstring; the
-    scan over every v, kept as cogerms_within, is the reference."""
+    scan over every v, kept as cogerms_within, is the reference. The sup
+    and inf tests fold rows over the maximal elements of ]*,u[ and the
+    minimal ones of ]v,*[ only, which have the same bounds (see
+    poset.upper_bounds_in)."""
     check_subset(len(up), mask)
     # masked down-rows are distinct, so each names its element
     by_down = {down[i] & mask: i for i in bit_indices(mask)}
@@ -97,12 +102,12 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
         if below in by_down:
             continue
         up_u = up[u] & mask
-        if intersect_rows(up, below, mask) != up_u:
+        if upper_bounds_in(up, down, below, mask) != up_u:
             continue
         # climb while the least element d of ]v,*[, v's one upper cover,
         # has v as its one lower cover
         v, above = u, up_u & ~(1 << u)
-        while d_bit := (lower := intersect_rows(down, above, mask)) & above:
+        while d_bit := (lower := lower_bounds_in(up, down, above, mask)) & above:
             d = d_bit.bit_length() - 1
             if down[d] & mask & ~d_bit != down[v] & mask:
                 # v has one upper cover d, so inf ]v,*[ is d

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotALattice
-from .poset import Poset, down_closed_masks, inclusion_poset, mask_of, sorted_by_size
+from .poset import Poset, bit_indices, down_closed_masks, inclusion_poset, mask_of, sorted_by_size
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,33 @@ class Lattice:
 
     @cached_property
     def r_table(self) -> tuple[int, ...]:
-        """r(x) for every x: the join of the irreducibles strictly below x."""
-        e, p = self.irr_mask, self.poset
-        return tuple(p.sup_of(e & row & ~(1 << x)) for x, row in enumerate(p.down))
+        """r(x) for every x: the join of the irreducibles strictly below x.
+
+        One lookup per element. An irreducible x has one lower cover c,
+        and the irreducibles below x are those under c, whose join is c.
+        Any other x is the bottom, r(x) = x, or the join of two lower
+        covers, each the join of the irreducibles below it (Davey &
+        Priestley, Introduction to Lattices and Order, 2nd ed., ch. 2),
+        so again r(x) = x."""
+        rows = self.poset._by_down_row
+        return tuple(rows.get(row & ~(1 << x), x) for x, row in enumerate(self.poset.down))
 
     @cached_property
     def sigma_table(self) -> tuple[int, ...]:
-        """σ(x) for every x: the meet of the irreducibles strictly above x."""
-        e, p = self.irr_mask, self.poset
-        return tuple(p.inf_of(e & row & ~(1 << x)) for x, row in enumerate(p.up))
+        """σ(x) for every x: the meet of the irreducibles strictly above x.
+
+        One pass down a reverse linear extension. The irreducibles
+        strictly above x are those above its upper covers, so σ(x) is the
+        meet of τ(c) over the upper covers c of x, where τ(c) is the meet
+        of the irreducibles above c: c itself when c is irreducible, and
+        σ(c) otherwise. The top has no cover and meets the empty set."""
+        p, e = self.poset, self.irr_mask
+        sigma, tau = [0] * p.n, list(range(p.n))
+        for x in sorted(range(p.n), key=lambda i: p.up[i].bit_count()):
+            sigma[x] = p.inf_of(mask_of(tau[c] for c in bit_indices(p.covers_up[x])))
+            if not e >> x & 1:
+                tau[x] = sigma[x]
+        return tuple(sigma)
 
     def join_mask(self, mask: int) -> int:
         """Join of a set of elements; empty join is the bottom."""
@@ -71,29 +89,43 @@ class Lattice:
         return self.poset.inf_of(mask)
 
     def join(self, i: int, j: int) -> int:
-        """Join of elements i and j."""
-        return self.poset.sup_of(1 << i | 1 << j)
+        """Join of elements i and j: the element whose up-row is their
+        common upper bounds."""
+        up = self.poset.up
+        return self.poset._by_up_row[up[i] & up[j]]
 
     def meet(self, i: int, j: int) -> int:
-        """Meet of elements i and j."""
-        return self.poset.inf_of(1 << i | 1 << j)
+        """Meet of elements i and j. Dual to join."""
+        down = self.poset.down
+        return self.poset._by_down_row[down[i] & down[j]]
 
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":
         """Check that every pair of indices i <= j has a join, then a meet,
-        or raise NotALattice naming the first pair that fails."""
+        or raise NotALattice naming the first pair that fails.
+
+        A finite poset with a top in which every pair has a meet is a
+        lattice (Davey & Priestley, ch. 2): the join of i and j is the
+        meet of their upper bounds, which the top makes nonempty. So the
+        check is one lookup per pair, i and j meeting exactly when
+        down[i] & down[j] is some element's down-row. The join-then-meet
+        scan runs only to name the first failing pair."""
         if p.n == 0:
             raise NotALattice("an empty poset has no greatest or smallest element")
-        # i and j have a join exactly when their common upper bounds
-        # up[i] & up[j] form some element's up-row; dually for the meet
-        up, down, up_rows, down_rows = p.up, p.down, p._by_up_row, p._by_down_row
-        for i in range(p.n):
-            for j in range(i, p.n):
-                if up[i] & up[j] in up_rows and down[i] & down[j] in down_rows:
-                    continue
-                which = "join" if up[i] & up[j] not in up_rows else "meet"
-                a, b = p.labels[i], p.labels[j]
-                raise NotALattice(f"{a} and {b} have no {which}", pair=(a, b), which=which)
+        down, rows = p.down, p._by_down_row
+        if p.full_mask not in rows or not all(
+            rows.keys() >= {row & other for other in down[i + 1:]} for i, row in enumerate(down)
+        ):
+            # i and j have a join exactly when their common upper bounds
+            # up[i] & up[j] form some element's up-row; dually for the meet
+            up, up_rows = p.up, p._by_up_row
+            for i in range(p.n):
+                for j in range(i, p.n):
+                    if up[i] & up[j] in up_rows and down[i] & down[j] in rows:
+                        continue
+                    which = "join" if up[i] & up[j] not in up_rows else "meet"
+                    a, b = p.labels[i], p.labels[j]
+                    raise NotALattice(f"{a} and {b} have no {which}", pair=(a, b), which=which)
         return cls(p)
 
 
@@ -115,11 +147,9 @@ def lower_set_lattice(u: Poset, cap: int = DEFAULT_LOWER_SET_CAP) -> Lattice:
 
 
 def lambda_e(t: Lattice) -> int:
-    """ΛE: elements equal to the meet of the irreducibles above them."""
-    e = t.irr_mask
-    return mask_of(
-        i for i in range(t.n) if t.meet_mask(e & t.poset.up[i]) == i
-    )
+    """ΛE: elements equal to the meet of the irreducibles above them.
+    That meet is x itself for x in E and σ(x) otherwise (sigma_table's τ)."""
+    return t.irr_mask | mask_of(x for x, s in enumerate(t.sigma_table) if s == x)
 
 
 def _fixpoint(table: tuple[int, ...], x: int) -> int:

@@ -40,6 +40,49 @@ def intersect_rows(rows: Sequence[int], mask: int, start: int) -> int:
     return start
 
 
+def upper_bounds_in(up: Sequence[int], down: Sequence[int], mask: int, start: int) -> int:
+    """start intersected with up[x] for every x in mask, the common upper
+    bounds of mask inside start, folding the maximal elements only.
+
+    Each step folds the row of the highest element x left and drops the
+    elements under x: their up-rows hold up[x], so they add nothing.
+    Along a linear extension x is always maximal, so the fold makes one
+    step per maximal element. In any other index order x may lie under
+    an element still left; its row then holds the bounds too, so the
+    result is the same and only a step is added."""
+    while mask:
+        x = mask.bit_length() - 1
+        start &= up[x]
+        mask &= ~down[x]
+    return start
+
+
+def lower_bounds_in(up: Sequence[int], down: Sequence[int], mask: int, start: int) -> int:
+    """start intersected with down[x] for every x in mask, folding the
+    minimal elements only. Dual to upper_bounds_in, from the lowest bit."""
+    while mask:
+        x = (mask & -mask).bit_length() - 1
+        start &= down[x]
+        mask &= ~up[x]
+    return start
+
+
+def minimal_elements(up: Sequence[int], down: Sequence[int], mask: int) -> int:
+    """The minimal elements of mask. Each is found by climbing down from
+    the lowest bit of what is left until nothing in mask is below; then
+    everything over it is dropped, and what is left holds exactly the
+    minimal elements not found yet. Along a linear extension the lowest
+    bit is already minimal, so the climb makes no step."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        while below := down[low.bit_length() - 1] & mask & ~low:
+            low = below & -below
+        out |= low
+        mask &= ~up[low.bit_length() - 1]
+    return out
+
+
 def transpose(rows: Sequence[int], n: int) -> list[int]:
     """The rows of the transposed relation on range(n): out[j] holds i
     exactly when rows[i] holds j. Up rows give down rows and back."""
@@ -113,6 +156,13 @@ class Poset:
 
         Raises DuplicateLabel / UnknownLabel on bad names and CycleError if
         the closure would break antisymmetry.
+
+        One iterative depth-first pass closes the rows (Purdom, BIT 10,
+        1970): a row is closed once every row it points to is closed, and
+        then it is the union of those rows. A successor already inside
+        the row is skipped: the closed row that put it there holds its
+        row too. An edge back into the stack of open rows closes a
+        cycle, and CycleError names that edge's two ends.
         """
         index: dict[str, int] = {}
         for lab in labels:
@@ -120,22 +170,41 @@ class Poset:
                 raise DuplicateLabel(lab)
             index[lab] = len(index)
         n = len(index)
-        up = [1 << i for i in range(n)]
+        succ = [0] * n
         for a, b in pairs:
             if a not in index:
                 raise UnknownLabel(a)
             if b not in index:
                 raise UnknownLabel(b)
-            up[index[a]] |= 1 << index[b]
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= up[k]
-        for i in range(n):
-            for j in bit_indices(up[i] & ~(1 << i)):
-                if up[j] & (1 << i):
+            succ[index[a]] |= 1 << index[b]
+        up = [1 << i for i in range(n)]
+        closed = seen = 0
+        for root in range(n):
+            if seen >> root & 1:
+                continue
+            # stack holds the open rows, todo[k] the successors of stack[k] not yet read
+            stack, todo, seen = [root], [succ[root]], seen | 1 << root
+            while stack:
+                i = stack[-1]
+                rest = todo[-1] & ~up[i]
+                if not rest:
+                    stack.pop()
+                    todo.pop()
+                    closed |= 1 << i
+                    if stack:
+                        up[stack[-1]] |= up[i]
+                    continue
+                low = rest & -rest
+                todo[-1] = rest ^ low
+                j = low.bit_length() - 1
+                if low & closed:
+                    up[i] |= up[j]
+                elif low & seen:  # seen and not closed: j is on the stack
                     raise CycleError(labels[i], labels[j])
+                else:
+                    stack.append(j)
+                    todo.append(succ[j])
+                    seen |= low
         return cls(labels, up)
 
     @property
@@ -190,10 +259,10 @@ class Poset:
     # -- bounds ------------------------------------------------------------
 
     def upper_bounds(self, mask: int) -> int:
-        return intersect_rows(self.up, mask, self.full_mask)
+        return upper_bounds_in(self.up, self.down, mask, self.full_mask)
 
     def lower_bounds(self, mask: int) -> int:
-        return intersect_rows(self.down, mask, self.full_mask)
+        return lower_bounds_in(self.up, self.down, mask, self.full_mask)
 
     # Antisymmetry keeps rows distinct: sup(S) is the element whose up-row is upper_bounds(S).
     @cached_property
@@ -225,16 +294,10 @@ class Poset:
 
     @cached_property
     def covers_up(self) -> tuple[int, ...]:
-        """covers_up[i] = elements j covering i (i < j, nothing between)."""
-        out = []
-        for i in range(self.n):
-            strict = self.strict_up(i)
-            m = 0
-            for j in bit_indices(strict):
-                if strict & self.strict_down(j) == 0:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
+        """covers_up[i] = elements j covering i (i < j, nothing between):
+        the minimal elements of ]i,*[, peeled one cover per step."""
+        up, down = self.up, self.down
+        return tuple(minimal_elements(up, down, row & ~(1 << i)) for i, row in enumerate(up))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """All covering pairs (i, j) with j covering i, index order."""

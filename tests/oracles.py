@@ -18,7 +18,7 @@ from germclosure.germs import (
     germ_cut_witness,
     lambda_witness,
 )
-from germclosure.poset import bit_indices
+from germclosure.poset import bit_indices, mask_of
 
 
 def induced_subposet(p: Poset, mask: int) -> Poset:
@@ -75,3 +75,28 @@ def labelled_posets_by_filtering(n: int):
                 up[j] |= 1 << i
         if all(up[j] & ~up[i] == 0 for i in range(n) for j in bit_indices(up[i])):
             yield tuple(up)
+
+
+def closure_by_warshall(n: int, pairs) -> list[int]:
+    """The up rows of the reflexive transitive closure of the index pairs
+    (a, b), meaning a < b, on range(n), by Warshall's loop: row i takes in
+    row k whenever it holds k. A cyclic relation gives rows that hold each
+    other. Checks Poset.from_relations."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= up[k]
+    return up
+
+
+def relabelled(p: Poset, perm) -> Poset:
+    """p with element i moved to index perm[i], its label moving along."""
+    labels, up = [""] * p.n, [0] * p.n
+    for i, row in enumerate(p.up):
+        labels[perm[i]] = p.labels[i]
+        up[perm[i]] = mask_of(perm[x] for x in bit_indices(row))
+    return Poset(labels, up)

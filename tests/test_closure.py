@@ -4,6 +4,8 @@ reconstruction from lattices, automorphism transport."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import germclosure.closure
+import germclosure.germs
 from germclosure import (
     GermClosure,
     GermCutCase,
@@ -31,7 +33,7 @@ from germclosure import (
 )
 from germclosure.germs import lambda_witness
 from germclosure.poset import bit_indices, inclusion_poset, mask_of, stabilizer_chain
-from oracles import induced_subposet
+from oracles import induced_subposet, relabelled
 from test_poset import random_dags
 
 
@@ -230,11 +232,7 @@ def _embed_outcome(s: Poset, u_mask: int):
 
 def _relabel(s: Poset, u_mask: int, perm: list[int]):
     """s with element i moved to index perm[i], and u_mask to match."""
-    labels, up = [""] * s.n, [0] * s.n
-    for i, row in enumerate(s.up):
-        labels[perm[i]] = s.labels[i]
-        up[perm[i]] = mask_of(perm[x] for x in bit_indices(row))
-    return Poset(labels, up), mask_of(perm[u] for u in bit_indices(u_mask))
+    return relabelled(s, perm), mask_of(perm[u] for u in bit_indices(u_mask))
 
 
 @settings(deadline=None)
@@ -458,3 +456,22 @@ def test_closure_poset_is_built_on_first_use(npos):
     assert "poset" not in vars(clos)
     assert clos.poset == inclusion_poset(npos, clos.masks)
     assert "poset" in vars(clos)
+
+
+def test_germ_closure_reuses_the_germs_grm_found(monkeypatch):
+    """grm(p) followed by germ_closure(p) walks p's germs once: the
+    closure reads them from grm's cache."""
+    calls = []
+
+    def counted(up, down, mask):
+        calls.append(mask)
+        return germs_within(up, down, mask)
+
+    for module in (germclosure.germs, germclosure.closure):
+        monkeypatch.setattr(module, "germs_within", counted)
+    grm.cache_clear()
+    p = chain(3)
+    recs = grm(p)
+    clos = germ_closure(p)
+    assert calls == [p.full_mask]
+    assert [c.germ for c in clos.cases if isinstance(c, GermCutCase)] == [r.germ for r in recs]

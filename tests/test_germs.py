@@ -25,7 +25,7 @@ from germclosure import (
 from germclosure.germs import cogerms_within, germ_cut_witness, lambda_witness
 from germclosure.poset import bit_indices, mask_of
 from oracles import classify, induced_subposet, is_germ
-from test_poset import random_dags
+from test_poset import random_dags, relabelled_dags
 
 
 def corpus_posets(max_n=5):
@@ -302,6 +302,7 @@ def _closure_lattice(data) -> Poset:
 @given(
     st.one_of(
         random_dags(max_n=12).map(lambda data: Poset.from_relations(*data)),
+        relabelled_dags(max_n=12).map(lambda data: Poset.from_relations(*data)),
         ordinal_sums().map(lambda data: Poset.from_relations(*data)),
         random_dags(max_n=6).map(_closure_lattice),
     ),
@@ -309,8 +310,9 @@ def _closure_lattice(data) -> Poset:
 )
 def test_germs_within_matches_definitional_scan(p, bits):
     """The bridge walk finds the germs and cogerms the scan over every v
-    finds: on random orders, on long chains of bridges and on closure
-    lattices, each whole, without its germs, and on a random subset."""
+    finds: on random orders, naturally labelled or not, on long chains of
+    bridges and on closure lattices, each whole, without its germs, and
+    on a random subset."""
     for mask in (p.full_mask, p.full_mask & ~grm_mask(p), bits & p.full_mask):
         assert germs_within(p.up, p.down, mask) == _scanned_germs(p.up, p.down, mask)
 

@@ -2,6 +2,8 @@
 scan, joins and meets, irreducibles, the r and sigma operators,
 lower-set lattices."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,7 @@ from germclosure import (
 )
 from germclosure.lattice import DEFAULT_LOWER_SET_CAP
 from germclosure.poset import bit_indices, down_closed_masks, mask_of, transpose
-from oracles import induced_subposet
+from oracles import induced_subposet, relabelled
 from test_poset import random_dags
 
 
@@ -54,6 +56,20 @@ def brute_first_missing_bound(p: Poset):
     return None
 
 
+def check_from_poset(p: Poset) -> None:
+    """from_poset accepts p when the brute-force scan calls it a lattice,
+    and otherwise names the scan's first failing pair and bound."""
+    expected = brute_first_missing_bound(p)
+    try:
+        t = Lattice.from_poset(p)
+    except NotALattice as e:
+        assert (e.pair, e.which) == expected
+        if p.n:
+            assert str(e) == f"{e.pair[0]} and {e.pair[1]} have no {e.which}"
+    else:
+        assert expected is None and t.poset is p
+
+
 def test_from_poset_accepts_exactly_the_lattices():
     """Over every labelled poset on up to 5 points, from_poset accepts the
     posets the brute-force scan calls lattices, and otherwise names the
@@ -61,16 +77,26 @@ def test_from_poset_accepts_exactly_the_lattices():
     for n in range(6):
         labels = [f"e{i}" for i in range(n)]
         for rows in labelled_posets_by_extension(n):
-            p = Poset(labels, rows)
-            expected = brute_first_missing_bound(p)
-            try:
-                t = Lattice.from_poset(p)
-            except NotALattice as e:
-                assert (e.pair, e.which) == expected
-                if n:
-                    assert str(e) == f"{e.pair[0]} and {e.pair[1]} have no {e.which}"
-            else:
-                assert expected is None and t.poset is p
+            check_from_poset(Poset(labels, rows))
+
+
+def _poset(data) -> Poset:
+    return Poset.from_relations(*data)
+
+
+def _closure_lattice_poset(data) -> Poset:
+    return germ_closure(Poset.from_relations(*data)).poset
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(random_dags(max_n=8).map(_poset), random_dags(max_n=6).map(_closure_lattice_poset)),
+    st.data(),
+)
+def test_from_poset_matches_the_scan_under_relabelling(p, data):
+    """Random orders, mostly not lattices, and closure lattices, each in
+    an index order that need not extend the order."""
+    check_from_poset(relabelled(p, data.draw(st.permutations(range(p.n)))))
 
 
 def test_join_meet_match_brute_force():
@@ -193,6 +219,24 @@ def test_operator_tables_match_definitions():
 def test_operator_tables_match_definitions_on_closures(dag):
     p = Poset.from_relations(*dag)
     check_operators_by_definition(Lattice.from_poset(germ_closure(p).poset))
+
+
+def test_operator_tables_match_definitions_under_relabelling():
+    """Every lattice up to 8 elements with its elements shuffled by a
+    seeded permutation, so the cover and linear-extension passes behind
+    r and σ meet index orders that are not linear extensions."""
+    rng = random.Random(1)
+    for t in corpus_lattices(8):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        check_operators_by_definition(Lattice.from_poset(relabelled(t.poset, perm)))
+
+
+@settings(deadline=None)
+@given(random_dags(max_n=10).map(_closure_lattice_poset), st.data())
+def test_operator_tables_match_definitions_on_relabelled_closures(q, data):
+    p = relabelled(q, data.draw(st.permutations(range(q.n))))
+    check_operators_by_definition(Lattice.from_poset(p))
 
 
 def test_lower_set_lattice_of_vee(vee):

@@ -26,11 +26,12 @@ from germclosure.poset import (
     down_closed_masks,
     embeddings,
     inclusion_poset,
+    intersect_rows,
     mask_of,
     set_label,
     stabilizer_chain,
 )
-from oracles import induced_subposet, lower_sets_by_definition
+from oracles import closure_by_warshall, induced_subposet, lower_sets_by_definition
 
 
 def test_from_relations_takes_transitive_closure(vee):
@@ -214,10 +215,9 @@ def test_down_closed_masks_match_the_definition_on_the_corpora():
 
 @given(st.data())
 def test_down_closed_masks_match_the_definition_under_relabelling(data):
-    """random_dags are naturally labelled; a shuffled label list puts the
+    """random_dags are naturally labelled; relabelled_dags put the
     elements in an index order that need not extend the order."""
-    labels, rels = data.draw(random_dags(max_n=10))
-    p = Poset.from_relations(data.draw(st.permutations(labels)), rels)
+    p = Poset.from_relations(*data.draw(relabelled_dags(max_n=10)))
     assert down_closed_masks(p.down) == lower_sets_by_definition(p.down)
 
 
@@ -242,6 +242,71 @@ def random_dags(draw, max_n=5):
             if draw(st.booleans()):
                 rels.append((labels[i], labels[j]))
     return labels, rels
+
+
+@st.composite
+def relabelled_dags(draw, max_n=5):
+    """random_dags with the label list permuted: the built poset's index
+    order need not be a linear extension, so the kernels that start from
+    the highest or lowest bit of a set must climb."""
+    labels, rels = draw(random_dags(max_n))
+    return draw(st.permutations(labels)), rels
+
+
+@st.composite
+def random_relations(draw, max_n=8):
+    """Labels and any list of pairs among them, in either direction, so
+    the relation may hold cycles and self-pairs."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    labels = [f"e{i}" for i in range(n)]
+    if not n:
+        return labels, []
+    label = st.sampled_from(labels)
+    return labels, draw(st.lists(st.tuples(label, label), max_size=2 * n))
+
+
+@given(random_relations(max_n=9))
+def test_from_relations_matches_warshall_and_names_a_cycle(data):
+    """The depth-first closure gives Warshall's rows, and on a cyclic
+    relation CycleError names two labels each below the other there."""
+    labels, rels = data
+    index = {lab: i for i, lab in enumerate(labels)}
+    up = closure_by_warshall(len(labels), [(index[a], index[b]) for a, b in rels])
+    cyclic = any(up[j] >> i & 1 for i, row in enumerate(up) for j in bit_indices(row & ~(1 << i)))
+    try:
+        p = Poset.from_relations(labels, rels)
+    except CycleError as e:
+        a, b = (index[lab] for lab in e.pair)
+        assert cyclic and a != b and up[a] >> b & 1 and up[b] >> a & 1
+    else:
+        assert not cyclic and list(p.up) == up
+
+
+def test_from_relations_closes_a_long_chain_without_recursion():
+    """The depth-first pass is iterative: a 3,000-element chain, whose
+    search runs 3,000 rows deep, closes."""
+    labels = [f"c{i}" for i in range(3000)]
+    p = Poset.from_relations(labels, list(zip(labels, labels[1:])))
+    assert p.up[0] == p.full_mask and p.down[-1] == p.full_mask
+
+
+@given(relabelled_dags(max_n=10))
+def test_covers_are_the_transitive_reduction_under_relabelling(data):
+    p = Poset.from_relations(*data)
+    for i in range(p.n):
+        between = [k for k in range(p.n) if p.lt(i, k)]
+        expected = mask_of(j for j in between if not any(p.lt(k, j) for k in between))
+        assert p.covers_up[i] == expected
+
+
+@given(relabelled_dags(max_n=10), st.lists(st.integers(0, (1 << 10) - 1), max_size=32))
+def test_bounds_match_a_fold_over_every_element_under_relabelling(data, bits):
+    """The folds over the maximal (minimal) elements of a set give the
+    fold of every element's row."""
+    p = Poset.from_relations(*data)
+    for mask in [p.full_mask] + [b & p.full_mask for b in bits]:
+        assert p.upper_bounds(mask) == intersect_rows(p.up, mask, p.full_mask)
+        assert p.lower_bounds(mask) == intersect_rows(p.down, mask, p.full_mask)
 
 
 @given(random_dags())
