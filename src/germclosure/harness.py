@@ -17,9 +17,10 @@ verify exits 1 instead of ending in a traceback.
 
 A Context holds the corpora of one run and G(p) of each corpus poset p.
 A closure is built inside the first instance that needs it and then
-shared, with its inclusion poset, by closure-lattice, reconstruction and
-op-duality-probe, so each corpus poset is closed once (its opposite once
-more, by op-duality-probe).
+shared by closure-lattice, reconstruction, closure-vs-lowerset and
+op-duality-probe, so each corpus poset is closed once. The three that
+read its order share its inclusion poset; op-duality-probe closes the
+opposite on the poset's rows swapped, not once more through germ_closure.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .closure import (
-    GermClosure,
-    aut_transport,
-    canonical_embed,
-    germ_closure,
-    ghat_sets,
-    lambda_sets,
-    reconstruct_from_lattice,
+    GermClosure, aut_transport, canonical_embed, closure_masks, germ_closure, ghat_sets,
+    lambda_sets, reconstruct_from_lattice,
 )
 from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, verify_partition
 from .enumeration import CorpusSpec, corpus
@@ -51,7 +47,9 @@ from .germs import (
     lambda_witness,
 )
 from .lattice import Lattice, lambda_e, lower_set_lattice
-from .poset import Poset, bit_indices, embeddings, isomorphisms, mask_of, set_label
+from .poset import (
+    Poset, bit_indices, embeddings, inclusion_poset, isomorphisms, mask_of, set_label,
+)
 
 PAIR_LIMIT = 4
 
@@ -357,24 +355,25 @@ def _irr_closure(ctx: Context, t: Lattice) -> Iterator[Result]:
 
 def _closure_vs_lowerset(ctx: Context, p: Poset) -> Iterator[Result]:
     """Computing the closure inside the lower-set lattice by the operator
-    route lands on the same two families."""
+    route lands on the same two families as G(p), split by case."""
     lsl = lower_set_lattice(p)
     masks = lsl.element_masks
     lam = lambda_e(lsl)
     lam_t = {masks[i] for i in bit_indices(lam)}
     ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
-    lam_u = set(lambda_sets(p))
-    ghat_u = set(ghat_sets(p))
-    ok = lam_t == lam_u and ghat_via_t == ghat_u
+    clos = ctx.closure(p)
+    lam_u = {m for m, case in zip(clos.masks, clos.cases) if isinstance(case, LambdaCase)}
+    ok = lam_t == lam_u and ghat_via_t == set(clos.masks) - lam_u
     yield "", ok, (
         f"operator route gives Λ of {len(lam_t)} and Ĝ of {len(ghat_via_t)},"
-        f" closure has {len(lam_u)} and {len(ghat_u)}"
+        f" closure has {len(lam_u)} and {clos.n - len(lam_u)}"
     )
 
 
 def _op_duality_probe(ctx: Context, p: Poset) -> Iterator[Result]:
-    """Advisory: G(U^op) and G(U)^op appear to be isomorphic."""
-    a = germ_closure(p.opposite()).poset
+    """Advisory: G(U^op) and G(U)^op appear to be isomorphic. G(U^op) is
+    closed on U's rows swapped, with no opposite poset built."""
+    a = inclusion_poset(p, closure_masks(p.down, p.up, p.full_mask)[0])
     b = ctx.closure(p).poset.opposite()
     ok = bool(isomorphisms(a, b, limit=1))
     yield "", ok, "closure of the opposite is not the opposite closure"

@@ -1,6 +1,8 @@
 """Germ extensibility inside lattices: the join map, G_T, unique bases,
 and the interval partition of the power set."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,7 @@ from germclosure import (
 from germclosure.embed import PARTITION_SIZE_CAP, drop_sets
 from germclosure.germs import germs_within
 from germclosure.poset import bit_indices, mask_of
+from oracles import relabelled
 from test_poset import random_dags
 
 # closure lattices of random orders, small enough to partition
@@ -240,6 +243,36 @@ def test_drop_sets_match_germ_removal(twelve):
         for t in enumerate_lattices(n):
             check_drop_sets(t)
     check_drop_sets(twelve)
+
+
+def test_drop_sets_match_germ_removal_under_relabelling():
+    """The same on a seeded relabelling of every lattice of up to 7
+    elements, whose index order need not be a linear extension."""
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for t in enumerate_lattices(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            check_drop_sets(Lattice.from_poset(relabelled(t.poset, perm)))
+
+
+def test_partition_of_relabelled_twelve_maps_through_the_permutation(twelve):
+    """verify_partition of a relabelled twelve gives twelve's cells, each
+    mask mapped through the permutation."""
+    perm = list(range(twelve.n))
+    random.Random(12).shuffle(perm)
+
+    def moved(mask):
+        return mask_of(perm[i] for i in bit_indices(mask))
+
+    def cells(t, move=lambda mask: mask):
+        return {
+            (move(c.base_mask), move(c.top_mask), frozenset(map(move, c.members)))
+            for c in verify_partition(t)
+        }
+
+    relabelled_twelve = Lattice.from_poset(relabelled(twelve.poset, perm))
+    assert cells(relabelled_twelve) == cells(twelve, moved)
 
 
 @settings(deadline=None)

@@ -241,11 +241,42 @@ def _count_closures(monkeypatch) -> list:
 
 def test_each_corpus_poset_is_closed_once(monkeypatch):
     """One closure per corpus poset, shared by closure-lattice,
-    reconstruction and op-duality-probe, plus one per opposite."""
+    reconstruction, closure-vs-lowerset and op-duality-probe."""
     built = _count_closures(monkeypatch)
     run_suite([CorpusSpec(5, "posets"), CorpusSpec(6, "lattices")])
     assert len(corpus(CorpusSpec(5, "posets"))) == 88
-    assert len(built) == 176
+    assert len(built) == 88
+
+
+def test_op_duality_probe_closes_the_opposite_on_swapped_rows(monkeypatch):
+    """After closure-lattice has closed every poset up to 5 points,
+    op-duality-probe builds no closure and no grm cache entry: the
+    opposite is closed on swapped rows, with no opposite poset."""
+    posets = corpus(CorpusSpec(5, "posets"))
+    ctx = Context(posets, [])
+    grm.cache_clear()
+    assert all(ok for _, ok, _ in PREDICATES["closure-lattice"].fn(ctx))
+    cached = grm.cache_info().currsize
+    built = _count_closures(monkeypatch)
+    results = list(PREDICATES["op-duality-probe"].fn(ctx))
+    assert len(results) == len(posets) and all(ok for _, ok, _ in results)
+    assert built == []
+    assert grm.cache_info().currsize == cached
+
+
+def test_closure_vs_lowerset_needs_no_second_route(monkeypatch):
+    """closure-vs-lowerset reads Λ(p) and Ĝ(p) from the shared closure
+    and builds the lower-set lattice without a lattice check."""
+
+    def refuse(*args):
+        raise AssertionError("closure-vs-lowerset took a second route")
+
+    for module in (germclosure.closure, germclosure.harness):
+        monkeypatch.setattr(module, "lambda_sets", refuse)
+        monkeypatch.setattr(module, "ghat_sets", refuse)
+    monkeypatch.setattr(Lattice, "from_poset", refuse)
+    [report] = run_suite(CorpusSpec(5, "posets"), ["closure-vs-lowerset"])
+    assert report.ok and report.checked == 88
 
 
 def test_context_closes_each_poset_in_its_own_instance(monkeypatch):

@@ -15,6 +15,7 @@ from germclosure import (
     antichain,
     chain,
     enumerate_lattices,
+    enumerate_posets,
     g_sharp,
     germ_closure,
     labelled_posets_by_extension,
@@ -250,8 +251,6 @@ def test_lower_set_lattice_of_vee(vee):
 def test_lower_set_lattice_of_chain_and_antichain():
     assert lower_set_lattice(chain(4)).n == 5
     assert lower_set_lattice(antichain(3)).n == 8
-    with pytest.raises(CapExceeded):
-        lower_set_lattice(antichain(4), cap=10)
 
 
 def test_default_lower_set_cap_stops_one_point_past_it(monkeypatch):
@@ -265,14 +264,31 @@ def test_default_lower_set_cap_stops_one_point_past_it(monkeypatch):
         lower_set_lattice(antichain(k + 1))
 
 
-def test_lower_set_lattice_join_is_union(npos):
-    lsl = lower_set_lattice(npos)
+def check_lower_set_lattice(p: Poset) -> None:
+    """lower_set_lattice(p) is built without a lattice check: from_poset
+    accepts its order, and its join is union and its meet intersection."""
+    lsl = lower_set_lattice(p)
+    Lattice.from_poset(lsl.poset)  # the dropped proof: NotALattice otherwise
     masks = lsl.element_masks
     by_mask = {m: i for i, m in enumerate(masks)}
     for i in range(lsl.n):
         for j in range(lsl.n):
             assert lsl.join(i, j) == by_mask[masks[i] | masks[j]]
             assert lsl.meet(i, j) == by_mask[masks[i] & masks[j]]
+
+
+def test_lower_set_lattice_join_is_union(npos):
+    """On npos, on every poset of up to 6 points and on a seeded
+    relabelling of each, whose index order need not be a linear
+    extension."""
+    rng = random.Random(7)
+    check_lower_set_lattice(npos)
+    for n in range(7):
+        for p in enumerate_posets(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            check_lower_set_lattice(p)
+            check_lower_set_lattice(relabelled(p, perm))
 
 
 SMALL_LATTICES = [t for n in range(6) for t in enumerate_lattices(n)]
