@@ -154,23 +154,11 @@ def cmd_dim(args) -> int:
         print(f"--x-min {args.x_min} is above --x-max {args.x_max}", file=sys.stderr)
         return 2
     doc, p = _load(args)
-    e = p if args.orientation == "e" else p.opposite()
-    g = g_size(e)
-    g_other = g_size(e.opposite())
-    aut = automorphism_count(p)
-    print(
-        f"dimension table for {doc.name}: |E|={p.n} |G|={g} |Aut|={aut}"
-        f" dim V={args.dim_v} orientation={args.orientation}"
-    )
+    g, aut = g_size(p), automorphism_count(p)
+    print(f"dimension table for {doc.name}: |E|={p.n} |G|={g} |Aut|={aut} dim V={args.dim_v}")
     for x in range(args.x_min, args.x_max + 1):
         val = evaluate(DimQuery(p, x, args.dim_v), g, aut)
         print(f"  |X|={x}: {val}")
-    if g_other != g:
-        other = "eop" if args.orientation == "e" else "e"
-        print(
-            f"note: the opposite orientation has |G|={g_other};"
-            f" rerun with --orientation {other}"
-        )
     return 0
 
 
@@ -274,7 +262,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-max", type=_at_least(0), required=True)
     sp.add_argument("--x-min", type=_at_least(0), default=0)
     sp.add_argument("--dim-v", type=_at_least(1), default=1)
-    sp.add_argument("--orientation", choices=("e", "eop"), default="e")
 
     sp = add("verify", cmd_verify, "run the fact suite over a corpus", needs_file=False)
     sp.add_argument("--max-size", type=_at_least(0), default=4, help="largest poset size")

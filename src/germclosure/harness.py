@@ -10,10 +10,11 @@ replayable failure descriptions. Conditional facts count only instances
 satisfying their hypothesis. The op-duality probe is advisory: it reports
 rather than fails, since the duality is conjectural.
 
-An exception a check raises fails that instance by name, its type and
-message as the detail, after whatever the check yielded before it; the
-walk then goes on to the next instance, so every predicate reports and
-verify exits 1 instead of ending in a traceback.
+An exception a check raises fails that instance by name, its type,
+message and the innermost package frame it passed through as the detail,
+after whatever the check yielded before it; the walk then goes on to the
+next instance, so every predicate reports and verify exits 1 instead of
+ending in a traceback.
 
 A Context holds the corpora of one run and G(p) of each corpus poset p.
 A closure is built inside the first instance that needs it and then
@@ -25,6 +26,8 @@ opposite on the poset's rows swapped, not once more through germ_closure.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -401,11 +404,24 @@ def _instances(ctx: Context, over: str) -> Iterator[tuple[str, tuple]]:
                     yield f"{desc}; U={set_label(s, u_mask)}", (s, u_mask)
 
 
+def _raised_at(e: Exception) -> str:
+    """The suffix " (at module.function:line)" naming the innermost frame
+    of e's traceback in this package: the line that raised e, or that
+    called the outside code that did. The walk that caught e is such a
+    frame, so there is always one."""
+    package = os.path.dirname(__file__)
+    tb = traceback.extract_tb(e.__traceback__)
+    frame = [f for f in tb if os.path.dirname(f.filename) == package][-1]
+    module = os.path.splitext(os.path.basename(frame.filename))[0]
+    return f" (at {module}.{frame.name}:{frame.lineno})"
+
+
 def _walk(*parts: tuple[str, Check]) -> Callable[[Context], Iterator[Result]]:
     """The predicate that runs each (kind, check) part in turn over every
     instance of its kind. An exception the check raises fails that
-    instance, named by its type and message, after whatever the check
-    yielded before it, and the walk goes on to the next instance."""
+    instance, named by its type, message and innermost package frame,
+    after whatever the check yielded before it, and the walk goes on to
+    the next instance."""
 
     def walk(ctx: Context) -> Iterator[Result]:
         for over, check in parts:
@@ -414,7 +430,7 @@ def _walk(*parts: tuple[str, Check]) -> Callable[[Context], Iterator[Result]]:
                     for suffix, ok, detail in check(ctx, *args):
                         yield head + suffix, ok, detail
                 except Exception as e:
-                    yield head, False, f"{type(e).__name__}: {e}"
+                    yield head, False, f"{type(e).__name__}: {e}{_raised_at(e)}"
 
     return walk
 

@@ -4,6 +4,29 @@ Everything is integer arithmetic: signed powers of (possibly negative)
 bases, binomials via math.comb, and a divisibility check before the one
 division. The coefficient poset enters only through the size of its germ
 closure and its automorphism count.
+
+Neither depends on the orientation: |G(Eᵒᵖ)| = |G(E)| for every finite
+poset E, so the formula closes E itself and nothing else. The proof, for
+U with lower bounds Bˡ and upper bounds Aᵘ taken inside U:
+
+1. Λ(U) = {Bˡ : B ⊆ U}, with ∅ˡ = U; this is what closure._cuts(down, U)
+   builds. Λ(Uᵒᵖ) = {Aᵘ : A ⊆ U}, which is _cuts(up, U). Since
+   A ⊆ Bˡ ⟺ B ⊆ Aᵘ, X ↦ Xᵘ = intersect_rows(up, X, U) is a bijection
+   Λ(U) → Λ(Uᵒᵖ), and Y ↦ Yˡ is its inverse (the two sides of one Galois
+   connection: Davey & Priestley, Introduction to Lattices and Order,
+   2nd ed., ch. 7; the extents and intents of Ganter & Wille, Formal
+   Concept Analysis).
+2. Swap u and v in the germ definition. "u = sup ]*,u[" and
+   "v = inf ]v,*[" trade places, the two cone splits trade places, and
+   [u,v] is the same chain. So (u, v) is a germ-cogerm pair of U exactly
+   when (v, u) is one of Uᵒᵖ. Each germ has exactly one cogerm, so
+   |Grm(Uᵒᵖ)| = |Grm(U)|.
+3. |G(U)| = |Λ(U)| + |Grm(U)|, because the two families are disjoint and
+   no two germs share a cut; closure._members raises InvariantViolation
+   otherwise, so every closure the package returns satisfies this.
+
+Hence g_size(Eᵒᵖ) = g_size(E), and with Aut(Eᵒᵖ) = Aut(E) the whole
+table is the same for E and Eᵒᵖ.
 """
 
 from __future__ import annotations
@@ -48,31 +71,21 @@ def alternating_sum(n_e: int, g: int, x: int) -> int:
 
 
 def evaluate(q: DimQuery, g: int, aut: int) -> int:
-    """The formula at q, given the closure size g of the chosen orientation
-    of q.poset and its automorphism count aut."""
+    """The formula at q, given the closure size g of q.poset and its
+    automorphism count aut."""
     total = q.dim_v * alternating_sum(q.poset.n, g, q.x_size)
     if total % aut:
         raise DivisibilityViolation(total, aut)
     return total // aut
 
 
-def _oriented_g_size(p: Poset, orientation: str) -> int:
-    if orientation not in ("e", "eop"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    return g_size(p if orientation == "e" else p.opposite())
+def dimension(q: DimQuery) -> int:
+    """Evaluate the formula at q."""
+    return evaluate(q, g_size(q.poset), automorphism_count(q.poset))
 
 
-def dimension(q: DimQuery, orientation: str = "e") -> int:
-    """Evaluate the formula at q. orientation picks whether the closure
-    size is taken from the poset itself ("e") or its opposite ("eop");
-    the automorphism count is the same either way."""
-    return evaluate(q, _oriented_g_size(q.poset, orientation), automorphism_count(q.poset))
-
-
-def dimension_table(
-    e: Poset, x_max: int, dim_v: int = 1, orientation: str = "e"
-) -> list[int]:
+def dimension_table(e: Poset, x_max: int, dim_v: int = 1) -> list[int]:
     """Dimensions for |X| = 0 .. x_max, closing e and counting its
     automorphisms once for the whole table."""
-    g, aut = _oriented_g_size(e, orientation), automorphism_count(e)
+    g, aut = g_size(e), automorphism_count(e)
     return [evaluate(DimQuery(e, x, dim_v), g, aut) for x in range(x_max + 1)]

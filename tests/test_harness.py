@@ -3,6 +3,7 @@ a green run over a small corpus, and the pinned stream of instance
 results."""
 
 import hashlib
+import re
 
 import germclosure.closure
 import germclosure.harness
@@ -187,7 +188,9 @@ def test_closure_lattice_names_a_closure_that_is_not_a_lattice(monkeypatch):
     spec = CorpusSpec(3, "posets")
     [report] = run_suite(spec, ["closure-lattice"])
     assert report.checked == len(report.failures) == len(corpus(spec))
-    assert report.failures[0] == ("elements: ; relations: ", "NotALattice: no join")
+    instance, detail = report.failures[0]
+    assert instance == "elements: ; relations: "
+    assert re.fullmatch(r"NotALattice: no join \(at harness\._closure_lattice_fault:\d+\)", detail)
 
 
 def test_a_check_that_raises_keeps_what_it_yielded(monkeypatch):
@@ -202,9 +205,9 @@ def test_a_check_that_raises_keeps_what_it_yielded(monkeypatch):
     specs = [CorpusSpec(3, "posets"), CorpusSpec(3, "lattices")]
     [report] = run_suite(specs, ["reconstruction"])
     assert report.checked == 21
-    assert report.failures == tuple(
-        (describe_poset(p), "RuntimeError: no transport") for p in corpus(specs[0])
-    )
+    assert [i for i, _ in report.failures] == [describe_poset(p) for p in corpus(specs[0])]
+    raised_at = r"RuntimeError: no transport \(at harness\._reconstruction:\d+\)"
+    assert all(re.fullmatch(raised_at, detail) for _, detail in report.failures)
 
 
 def test_a_closure_that_fails_to_build_fails_only_its_own_instance(monkeypatch):
@@ -221,8 +224,25 @@ def test_a_closure_that_fails_to_build_fails_only_its_own_instance(monkeypatch):
     monkeypatch.setattr(germclosure.harness, "germ_closure", build)
     reports = run_suite(CorpusSpec(3, "posets"), ["closure-lattice", "reconstruction"])
     for report in reports:
-        assert report.failures == ((describe_poset(posets[1]), "ValueError: no closure"),)
+        [(instance, detail)] = report.failures
+        assert instance == describe_poset(posets[1])
+        assert re.fullmatch(r"ValueError: no closure \(at harness\.closure:\d+\)", detail)
     assert [r.checked for r in reports] == [len(posets), 2 * len(posets) - 1]
+
+
+def test_a_failure_names_the_innermost_package_frame(monkeypatch):
+    """An exception raised outside the package, two package frames below
+    the check, is named by the package function that made the call."""
+
+    def refuse(down, u_mask):
+        raise RuntimeError("no cuts")
+
+    monkeypatch.setattr(germclosure.closure, "_cuts", refuse)
+    spec = CorpusSpec(2, "posets")
+    [report] = run_suite(spec, ["closure-lattice"])
+    assert report.checked == len(report.failures) == len(corpus(spec))
+    for _, detail in report.failures:
+        assert re.fullmatch(r"RuntimeError: no cuts \(at closure\._members:\d+\)", detail)
 
 
 def _count_closures(monkeypatch) -> list:

@@ -2,6 +2,7 @@
 brute-force surjection counter, and the divisibility sweep."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +17,15 @@ from germclosure import (
     dimension_table,
     enumerate_posets,
     g_size,
+    germ_closure,
+    germs_within,
 )
 import germclosure.poset
 import germclosure.repdim
+from germclosure.closure import _cuts
+from germclosure.poset import intersect_rows
 from germclosure.repdim import alternating_sum, evaluate
+from oracles import relabelled
 
 
 def maps_covering(n_e: int, g: int, x: int) -> int:
@@ -80,10 +86,30 @@ def test_dimension_scales_linearly_in_dim_v(k, x):
     assert qk == k * q1
 
 
-def test_orientation_switch(vee):
-    assert dimension(DimQuery(vee, 3), "e") == dimension(DimQuery(vee, 3), "eop")
-    with pytest.raises(ValueError):
-        dimension(DimQuery(vee, 3), "sideways")
+def check_opposite_closure_size(p: Poset) -> None:
+    """The three steps of the repdim docstring's proof that
+    |G(Pᵒᵖ)| = |G(P)|, checked on p."""
+    full = p.full_mask
+    cuts, opposite_cuts = _cuts(p.down, full), _cuts(p.up, full)
+    upper = {x: intersect_rows(p.up, x, full) for x in cuts}
+    assert sorted(upper.values()) == sorted(opposite_cuts)
+    assert all(intersect_rows(p.down, y, full) == x for x, y in upper.items())
+    swapped = sorted((v, u) for u, v in germs_within(p.up, p.down, full))
+    assert germs_within(p.down, p.up, full) == swapped
+    assert germ_closure(p).n == len(cuts) + len(swapped) == germ_closure(p.opposite()).n
+
+
+def test_opposite_has_the_same_closure_size():
+    """On every poset of up to 7 points and a seeded relabelling of each
+    one up to 6, whose index order need not be a linear extension."""
+    rng = random.Random(11)
+    for n in range(8):
+        for p in enumerate_posets(n):
+            check_opposite_closure_size(p)
+            if n < 7:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                check_opposite_closure_size(relabelled(p, perm))
 
 
 def test_query_validation(vee):
@@ -130,7 +156,7 @@ def test_dimension_table_closes_once(monkeypatch):
     built = count_closures_and_chains(monkeypatch)
     for x_max in (2, 30):
         built.clear()
-        assert len(dimension_table(antichain(10), x_max, orientation="eop")) == x_max + 1
+        assert len(dimension_table(antichain(10), x_max)) == x_max + 1
         assert sorted(built) == ["germ_closure", "stabilizer_chain"]
 
 
