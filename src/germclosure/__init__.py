@@ -61,10 +61,7 @@ from .errors import (
     UnknownLabel,
 )
 from .germs import (
-    ElementCase,
-    GermCutCase,
     GermRecord,
-    LambdaCase,
     detects,
     germs_within,
     grm,

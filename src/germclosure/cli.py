@@ -43,51 +43,45 @@ def _subset_mask(p: Poset, spec: str) -> int:
     return p.subset(tok.strip() for tok in spec.split(",") if tok.strip())
 
 
-def _chain_str(rec) -> str:
-    return "<".join(rec.poset.labels[i] for i in rec.chain)
-
-
 def cmd_grm(args) -> int:
     doc, p = _load(args)
     recs = grm(p)
     print(f"germs of {doc.name}: {len(recs)}")
     for rec in recs:
-        u, v = rec.labels()
-        print(f"  germ {u}  cogerm {v}  chain {_chain_str(rec)}")
+        chain = "<".join(p.labels[i] for i in rec.chain)
+        print(f"  germ {p.labels[rec.germ]}  cogerm {p.labels[rec.cogerm]}  chain {chain}")
     return 0
 
 
 def _case_str(clos: GermClosure, i: int) -> str:
-    witness = clos.witness(i)
-    if witness is not None:
-        return f"cut of {set_label(clos.base, witness)}"
-    return f"germ cut at {clos.base.labels[clos.cases[i].germ]}"
+    r = clos.germ_of[i]
+    if r is not None:
+        return f"germ cut at {clos.base.labels[r]}"
+    return f"cut of {set_label(clos.base, clos.witness(i))}"
 
 
 def cmd_closure(args) -> int:
     doc, p = _load(args)
     clos = germ_closure(p)
+    names = clos.poset.labels
     gdoc = from_poset(clos.poset, name=f"G({doc.name})")
+    cases = [(names[i], _case_str(clos, i)) for i in range(clos.n)]
+    embedding = [(p.labels[k], names[e]) for k, e in enumerate(clos.embed)]
     if args.format == "json":
         payload = {
             "document": json.loads(serialize_poset_json(gdoc)),
-            "classification": [
-                {"member": clos.poset.labels[i], "case": _case_str(clos, i)}
-                for i in range(clos.n)
-            ],
-            "embedding": {
-                p.labels[k]: clos.poset.labels[clos.embed[k]] for k in range(p.n)
-            },
+            "classification": [{"member": m, "case": c} for m, c in cases],
+            "embedding": dict(embedding),
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(serialize_poset(gdoc), end="")
     print("classification:")
-    for i in range(clos.n):
-        print(f"  {clos.poset.labels[i]}  {_case_str(clos, i)}")
+    for member, case in cases:
+        print(f"  {member}  {case}")
     print("embedding:")
-    for k in range(p.n):
-        print(f"  {p.labels[k]} -> {clos.poset.labels[clos.embed[k]]}")
+    for u, e in embedding:
+        print(f"  {u} -> {e}")
     return 0
 
 

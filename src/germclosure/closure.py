@@ -20,9 +20,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, NotAGermExtension
-from .germs import (
-    ElementCase, GermCutCase, LambdaCase, detects, germs_within, grm, grm_mask, is_germ_extension,
-)
+from .germs import detects, germs_within, grm, grm_mask, is_germ_extension
 from .lattice import Lattice
 from .poset import (
     Poset, bit_indices, check_subset, inclusion_poset, intersect_rows, mask_of,
@@ -55,36 +53,33 @@ def ghat_sets(u: Poset) -> list[int]:
     return [u.strict_down(rec.germ) for rec in grm(u)]
 
 
-_CUT = LambdaCase()
-
-
 def closure_masks(
     up: Sequence[int], down: Sequence[int], u_mask: int
-) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
     """G(U) for U = u_mask under the ambient rows, in ambient indices: the
-    member masks sorted by (cardinality, bitmask) and each one's case,
-    the shared _CUT for a cut or GermCutCase with the germ. No witness is
-    computed here; GermClosure.witness reads one where it is printed.
-    Raises ValueError for a mask with bits outside the rows."""
+    member masks sorted by (cardinality, bitmask) and germ_of, where
+    germ_of[i] is the germ r when masks[i] is ]*,r[ and None for a cut.
+    No witness is computed here; GermClosure.witness reads one where it
+    is printed. Raises ValueError for a mask with bits outside the rows."""
     check_subset(len(up), u_mask)
     return _members(down, u_mask, germs_within(up, down, u_mask))
 
 
 def _members(
     down: Sequence[int], u_mask: int, germs: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, ...], tuple[ElementCase, ...]]:
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
     """closure_masks once the (germ, cogerm) pairs of U are known."""
     cuts = _cuts(down, u_mask)
-    case_of: dict[int, ElementCase] = dict.fromkeys(cuts, _CUT)
+    germ_of: dict[int, int | None] = dict.fromkeys(cuts)
     for r, _ in germs:
         cut = down[r] & u_mask & ~(1 << r)
         if cut in cuts:
             raise InvariantViolation("cut families overlap")
-        if cut in case_of:
+        if cut in germ_of:
             raise InvariantViolation("two germs share a strict lower cut")
-        case_of[cut] = GermCutCase(r)
-    masks = tuple(sorted_by_size(case_of))
-    return masks, tuple(case_of[m] for m in masks)
+        germ_of[cut] = r
+    masks = tuple(sorted_by_size(germ_of))
+    return masks, tuple(map(germ_of.get, masks))
 
 
 @dataclass(frozen=True)
@@ -92,16 +87,16 @@ class GermClosure:
     """G(U) for the subset U of base: a family of lower sets of U,
     inclusion ordered, all in base's indices.
 
-    masks[i] is the subset element i stands for; cases[i] says which
-    family it came from (LambdaCase for a cut, whose largest witness
-    witness(i) reads, or GermCutCase with the germ). The views below are
-    built on first use.
+    masks[i] is the subset element i stands for; germ_of[i] is the germ r
+    when masks[i] is the strict cut ]*,r[, and None for a cut U_{<=B},
+    whose largest witness B witness(i) reads. The views below are built
+    on first use.
     """
 
     base: Poset
     subset: int
     masks: tuple[int, ...]
-    cases: tuple[ElementCase, ...]
+    germ_of: tuple[int | None, ...]
 
     @property
     def n(self) -> int:
@@ -122,7 +117,7 @@ class GermClosure:
         """The largest B within U with U_{<=B} = masks[i] for a cut, that
         is, the elements of U above all of masks[i]; None for a germ cut,
         as lambda_witness says."""
-        if not isinstance(self.cases[i], LambdaCase):
+        if self.germ_of[i] is not None:
             return None
         return intersect_rows(self.base.up, self.masks[i], self.subset)
 

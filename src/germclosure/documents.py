@@ -7,10 +7,11 @@ The text grammar, one directive per line:
     elements: a b c           (labels: no whitespace, no '<')
     relations: a<c b<c        (each token is label<label)
 
-Blank lines and lines starting with '#' are skipped. The JSON form is an
-object with the same four keys, relations as two-element arrays. Parsing
-normalizes nothing beyond whitespace; serialization emits the directives
-in the order above and round-trips with parse.
+Blank lines and lines starting with '#' are skipped, and elements: may
+appear once. The JSON form is an object with the same four keys, its
+name a non-blank string on one line and its relations two-element arrays
+of strings. Parsing normalizes nothing beyond whitespace; serialization
+emits the directives in the order above and round-trips with parse.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def parse_poset(text: str) -> PosetDocument:
             if kind not in KINDS:
                 raise DocumentSyntaxError(lineno, col, "'poset' or 'lattice'")
         elif directive == "elements":
+            if elements is not None:
+                raise DocumentSyntaxError(lineno, 1, "no second elements: line")
             elements = ()
             for tok in rest.split():
                 if _bad_label(tok):
@@ -115,15 +118,15 @@ def parse_poset_json(text: str) -> PosetDocument:
         raise DocumentSyntaxError(1, 1, "an 'elements' array of labels")
     relations = obj.get("relations", [])
     if not isinstance(relations, list) or any(
-        not (isinstance(r, list) and len(r) == 2) for r in relations
+        not (isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r))
+        for r in relations
     ):
-        raise DocumentSyntaxError(1, 1, "a 'relations' array of [a, b] pairs")
-    return PosetDocument(
-        str(obj.get("name", "poset")),
-        tuple(elements),
-        tuple((str(a), str(b)) for a, b in relations),
-        kind,
-    )
+        raise DocumentSyntaxError(1, 1, "a 'relations' array of [a, b] label pairs")
+    # the text grammar's name: is one non-blank line
+    name = obj.get("name", "poset")
+    if not isinstance(name, str) or not name.strip() or name.splitlines() != [name]:
+        raise DocumentSyntaxError(1, 1, "a 'name' string on one line")
+    return PosetDocument(name, tuple(elements), tuple((a, b) for a, b in relations), kind)
 
 
 def serialize_poset_json(doc: PosetDocument) -> str:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .closure import closure_masks
 from .errors import CapExceeded, InvariantViolation
-from .germs import GermCutCase
 from .lattice import Lattice, lambda_e, r_inf, sigma_inf
 from .poset import bit_indices, mask_of, sorted_by_size, transpose
 
@@ -48,14 +47,10 @@ def is_germ_extensible(t: Lattice, u_mask: int) -> EmbedResult:
     """Decide ν-injectivity for U = u_mask inside t via the germ-join
     criterion, carrying the closure, the ν image and any violating germs
     along. A germ r of U violates it when ν of its strict cut, the
-    closure's GermCutCase element for r, is r itself."""
-    masks, cases = closure_masks(t.poset.up, t.poset.down, u_mask)
+    closure member whose germ_of is r, is r itself."""
+    masks, germ_of = closure_masks(t.poset.up, t.poset.down, u_mask)
     nu_image = tuple(map(t.join_mask, masks))
-    violating = tuple(sorted(
-        case.germ
-        for case, x in zip(cases, nu_image)
-        if isinstance(case, GermCutCase) and x == case.germ
-    ))
+    violating = tuple(sorted(r for r, x in zip(germ_of, nu_image) if r == x))
     extensible = not violating
     g_bar = None
     if extensible:

@@ -46,13 +46,12 @@ from .poset import (
 
 @dataclass(frozen=True)
 class GermRecord:
-    poset: Poset
+    """A germ, its cogerm and the chain between them, bottom first, as
+    indices into the poset grm read them from."""
+
     germ: int
     cogerm: int
     chain: tuple[int, ...]
-
-    def labels(self) -> tuple[str, str]:
-        return self.poset.labels[self.germ], self.poset.labels[self.cogerm]
 
 
 def cogerms_within(up: Sequence[int], down: Sequence[int], mask: int, u: int) -> list[int]:
@@ -121,7 +120,7 @@ def germs_within(up: Sequence[int], down: Sequence[int], mask: int) -> list[tupl
 
 def _record(p: Poset, u: int, v: int) -> GermRecord:
     seg = sorted(bit_indices(p.up[u] & p.down[v]), key=lambda i: p.down[i].bit_count())
-    return GermRecord(p, u, v, tuple(seg))
+    return GermRecord(u, v, tuple(seg))
 
 
 # grm keeps the posets it has seen alive; the bound caps that memory
@@ -152,22 +151,6 @@ def is_germ_extension(p: Poset, u_mask: int) -> bool:
     is a germ of p."""
     check_subset(p.n, u_mask)
     return p.full_mask & ~u_mask & ~grm_mask(p) == 0
-
-
-@dataclass(frozen=True)
-class LambdaCase:
-    """U_{<=s} is cut out by a subset B of U. The largest such B is read
-    on demand: GermClosure.witness, or lambda_witness."""
-
-
-@dataclass(frozen=True)
-class GermCutCase:
-    """U_{<=s} is the strict lower cut of a germ of U (ambient index)."""
-
-    germ: int
-
-
-ElementCase = LambdaCase | GermCutCase
 
 
 def lambda_witness(p: Poset, u_mask: int, s: int) -> int | None:

@@ -39,7 +39,6 @@ from .embed import g_sharp, irr_closure_equals_g_t, is_germ_extensible, verify_p
 from .enumeration import CorpusSpec, corpus
 from .errors import InvariantViolation
 from .germs import (
-    LambdaCase,
     cogerms_within,
     detects,
     germ_cut_witness,
@@ -219,7 +218,7 @@ def _closure_lattice_fault(p: Poset, clos: GermClosure) -> str:
             if inter not in members:
                 return "not intersection closed"
             incomparable = clos.masks[i] & ~clos.masks[j] and clos.masks[j] & ~clos.masks[i]
-            if incomparable and not isinstance(clos.cases[clos.index_of(inter)], LambdaCase):
+            if incomparable and clos.germ_of[clos.index_of(inter)] is not None:
                 return "incomparable meet outside the cut family"
             if lat.meet(i, j) != clos.index_of(inter):
                 return "lattice meet is not intersection"
@@ -365,7 +364,7 @@ def _closure_vs_lowerset(ctx: Context, p: Poset) -> Iterator[Result]:
     lam_t = {masks[i] for i in bit_indices(lam)}
     ghat_via_t = {masks[i] for i in bit_indices(g_sharp(lsl) & ~lam)}
     clos = ctx.closure(p)
-    lam_u = {m for m, case in zip(clos.masks, clos.cases) if isinstance(case, LambdaCase)}
+    lam_u = {m for m, r in zip(clos.masks, clos.germ_of) if r is None}
     ok = lam_t == lam_u and ghat_via_t == set(clos.masks) - lam_u
     yield "", ok, (
         f"operator route gives Λ of {len(lam_t)} and Ĝ of {len(ghat_via_t)},"

@@ -9,15 +9,7 @@ python -O too.
 from itertools import combinations, product
 
 from germclosure import GermRecord, NotAGermExtension, Poset, is_germ_extension
-from germclosure.germs import (
-    ElementCase,
-    GermCutCase,
-    LambdaCase,
-    _record,
-    cogerms_within,
-    germ_cut_witness,
-    lambda_witness,
-)
+from germclosure.germs import _record, cogerms_within, germ_cut_witness, lambda_witness
 from germclosure.poset import bit_indices, mask_of
 
 
@@ -48,9 +40,10 @@ def is_germ(p: Poset, u: int) -> GermRecord | None:
     return _record(p, u, cands[0]) if cands else None
 
 
-def classify(p: Poset, u_mask: int, s: int) -> ElementCase:
+def classify(p: Poset, u_mask: int, s: int) -> int | None:
     """Whichever of the two shadow shapes holds for s, asserting the other
-    one fails. Only meaningful when the ambient poset p germ-extends U."""
+    one fails: the germ r of U when U_{<=s} is ]*,r[, None when it is a
+    cut. Only meaningful when the ambient poset p germ-extends U."""
     if not is_germ_extension(p, u_mask):
         raise NotAGermExtension("the ambient poset is not a germ extension of the given subset")
     b = lambda_witness(p, u_mask, s)
@@ -58,7 +51,7 @@ def classify(p: Poset, u_mask: int, s: int) -> ElementCase:
     assert (b is None) != (r is None), (
         f"element {p.labels[s]} fits {'both shapes' if b is not None else 'neither shape'}"
     )
-    return LambdaCase() if b is not None else GermCutCase(r)
+    return r
 
 
 def labelled_posets_by_filtering(n: int):

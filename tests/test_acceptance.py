@@ -53,7 +53,7 @@ def test_criterion_1_worked_examples():
     for n in range(1, 6):
         c = chain(n)
         recs = grm(c)
-        ok &= [r.labels() for r in recs] == [("u1", f"u{n}")]
+        ok &= [(c.labels[r.germ], c.labels[r.cogerm]) for r in recs] == [("u1", f"u{n}")]
         ok &= germ_closure(c).n == n + 1
     for n in range(2, 6):
         a = antichain(n)

@@ -33,6 +33,10 @@ GOLDEN_CASES = (
     [(f"grm__{n}", ["grm", str(INPUTS / f"{n}.txt")]) for n in DOC_NAMES]
     + [(f"closure__{n}", ["closure", str(INPUTS / f"{n}.txt")]) for n in DOC_NAMES]
     + [
+        (
+            "closure__twelve_json",
+            ["closure", str(INPUTS / "twelve.txt"), "--format", "json"],
+        ),
         ("gt__twelve", ["gt", str(INPUTS / "twelve.txt")]),
         ("gt__chain3", ["gt", str(INPUTS / "chain3.txt")]),
         ("partition__twelve", ["partition", str(INPUTS / "twelve.txt")]),
@@ -121,6 +125,25 @@ def test_exit_code_syntax(tmp_path, capsys):
     code, _, err = run(["grm", str(bad)], capsys)
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("twice.txt", "elements: a b\nelements: c\nrelations:\n", "line 2, column 1"),
+        ("null_name.json", '{"name": null, "elements": ["a"], "relations": []}', "line 1"),
+        ("split_name.json", '{"name": "x\\ny", "elements": ["a"], "relations": []}', "line 1"),
+        ("null_end.json", '{"elements": ["None", "a"], "relations": [[null, "a"]]}', "line 1"),
+    ],
+)
+def test_exit_code_rejected_document(tmp_path, capsys, name, text, where):
+    """A repeated elements: line, a JSON name that is not one line of text
+    and a relation end that is not a string exit 2 before printing."""
+    bad = tmp_path / name
+    bad.write_text(text)
+    code, out, err = run(["closure", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"syntax error: {where}")
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,7 @@ import germclosure.closure
 import germclosure.germs
 from germclosure import (
     GermClosure,
-    GermCutCase,
     InvariantViolation,
-    LambdaCase,
     Lattice,
     NotAGermExtension,
     Poset,
@@ -56,8 +54,7 @@ def test_closure_of_chains():
         clos = germ_closure(chain(n))
         assert clos.n == n + 1
         assert clos.masks == tuple((1 << k) - 1 for k in range(n + 1))
-        assert isinstance(clos.cases[0], GermCutCase)
-        assert all(isinstance(c, LambdaCase) for c in clos.cases[1:])
+        assert clos.germ_of == (0,) + (None,) * n
 
 
 def test_closure_of_antichains():
@@ -66,7 +63,7 @@ def test_closure_of_antichains():
         assert clos.n == n + 2
         got = sorted(m.bit_count() for m in clos.masks)
         assert got == [0] + [1] * n + [n]
-        assert all(isinstance(c, LambdaCase) for c in clos.cases)
+        assert clos.germ_of == (None,) * (n + 2)
 
 
 def test_closure_of_vee_exact_members(vee):
@@ -79,8 +76,7 @@ def test_closure_of_vee_exact_members(vee):
         frozenset({"a", "b", "c"}),
     }
     cut = clos.index_of(mask_of([vee.index("a"), vee.index("b")]))
-    case = clos.cases[cut]
-    assert isinstance(case, GermCutCase) and case.germ == vee.index("c")
+    assert clos.germ_of[cut] == vee.index("c")
 
 
 def test_closure_of_wedge_exact_members(wedge):
@@ -93,8 +89,7 @@ def test_closure_of_wedge_exact_members(wedge):
         frozenset({"a", "b", "c"}),
     }
     empty = clos.index_of(0)
-    case = clos.cases[empty]
-    assert isinstance(case, GermCutCase) and case.germ == wedge.index("c")
+    assert clos.germ_of[empty] == wedge.index("c")
 
 
 def test_closure_of_npos_matches_figure(npos):
@@ -136,7 +131,7 @@ def test_lambda_and_ghat_families(vee, npos):
     assert ghat_sets(npos) == []
     [cut], [rec] = ghat_sets(vee), grm(vee)
     assert cut == mask_of([vee.index("a"), vee.index("b")])
-    assert rec.labels() == ("c", "c")
+    assert (rec.germ, rec.cogerm) == (vee.index("c"), vee.index("c"))
 
 
 def test_closure_order_is_inclusion(npos):
@@ -186,27 +181,24 @@ def _witnesses(clos: GermClosure) -> list[int | None]:
 
 
 def _lifted_closure(p: Poset, mask: int):
-    """Members, cases and witnesses of the closure of the copied subposet
+    """Members, germs and witnesses of the closure of the copied subposet
     on mask, lifted back into p's indices."""
     keep = list(bit_indices(mask))
     clos = germ_closure(induced_subposet(p, mask))
     masks = tuple(_lift(m, keep) for m in clos.masks)
-    cases = [
-        c if isinstance(c, LambdaCase) else GermCutCase(keep[c.germ])
-        for c in clos.cases
-    ]
+    germ_of = [None if r is None else keep[r] for r in clos.germ_of]
     witnesses = [None if w is None else _lift(w, keep) for w in _witnesses(clos)]
-    return masks, cases, witnesses
+    return masks, germ_of, witnesses
 
 
 def _pairwise_embed(s: Poset, u_mask: int):
     """canonical_embed by its definition, on a copied subposet, every
     order check a leq loop over pairs of elements: the oracle for the row
-    version. It returns (masks, cases, witnesses, j), or the type of the
+    version. It returns (masks, germ_of, witnesses, j), or the type of the
     exception canonical_embed must raise."""
     if not is_germ_extension(s, u_mask):
         return NotAGermExtension
-    masks, cases, witnesses = _lifted_closure(s, u_mask)
+    masks, germ_of, witnesses = _lifted_closure(s, u_mask)
     index = {m: i for i, m in enumerate(masks)}
     j = []
     for t in range(s.n):
@@ -218,7 +210,7 @@ def _pairwise_embed(s: Poset, u_mask: int):
         for t2 in range(s.n):
             if s.leq(t1, t2) != (masks[j[t1]] & ~masks[j[t2]] == 0):
                 return AssertionError
-    return masks, cases, witnesses, j
+    return masks, germ_of, witnesses, j
 
 
 def _embed_outcome(s: Poset, u_mask: int):
@@ -227,7 +219,7 @@ def _embed_outcome(s: Poset, u_mask: int):
     except (ValueError, NotAGermExtension, AssertionError) as e:
         return type(e)
     assert clos.base is s and clos.subset == u_mask
-    return clos.masks, list(clos.cases), _witnesses(clos), j
+    return clos.masks, list(clos.germ_of), _witnesses(clos), j
 
 
 def _relabel(s: Poset, u_mask: int, perm: list[int]):
@@ -240,7 +232,7 @@ def _relabel(s: Poset, u_mask: int, perm: list[int]):
 def test_canonical_embed_matches_pairwise_definition(dag, data):
     """The row-built closure and embedding equal the ones of the copied
     subposet, lifted, on shuffled germ extensions and on random bases,
-    and a non-extension raises the same exception type. Masks, cases,
+    and a non-extension raises the same exception type. Masks, germs,
     witnesses and j are compared directly, so this holds under python -O
     too, where the library's asserts are gone."""
     p = Poset.from_relations(*dag)
@@ -266,7 +258,7 @@ def test_canonical_embed_rejects_like_the_pairwise_definition(vee, npos):
     with pytest.raises(NotAGermExtension):
         canonical_embed(vee, u)
     clos, j = canonical_embed(npos, npos.full_mask)
-    expected = (clos.masks, list(clos.cases), _witnesses(clos), j)
+    expected = (clos.masks, list(clos.germ_of), _witnesses(clos), j)
     assert expected == _pairwise_embed(npos, npos.full_mask)
     assert j == list(germ_closure(npos).embed)
 
@@ -432,12 +424,12 @@ def _lift(mask: int, keep: list[int]) -> int:
 def test_closure_masks_match_closure_of_subposet(data, bits):
     """The kernel on ambient rows restricted to a mask gives the closure
     of the induced subposet, re-indexed: same members in the same order,
-    same cases with the same witnesses and germs."""
+    the same germs and witnesses."""
     p = Poset.from_relations(*data)
     mask = bits & p.full_mask
-    masks, cases = closure_masks(p.up, p.down, mask)
-    witnesses = _witnesses(GermClosure(p, mask, masks, cases))
-    assert (masks, list(cases), witnesses) == _lifted_closure(p, mask)
+    masks, germ_of = closure_masks(p.up, p.down, mask)
+    witnesses = _witnesses(GermClosure(p, mask, masks, germ_of))
+    assert (masks, list(germ_of), witnesses) == _lifted_closure(p, mask)
 
 
 # 1 << 2 is the first index past chain(2)
@@ -474,4 +466,4 @@ def test_germ_closure_reuses_the_germs_grm_found(monkeypatch):
     recs = grm(p)
     clos = germ_closure(p)
     assert calls == [p.full_mask]
-    assert [c.germ for c in clos.cases if isinstance(c, GermCutCase)] == [r.germ for r in recs]
+    assert [r for r in clos.germ_of if r is not None] == [r.germ for r in recs]

@@ -71,6 +71,19 @@ def test_missing_sections():
         parse_poset("elements: a b")
 
 
+def test_second_elements_line_is_a_syntax_error():
+    """A second elements: line is rejected where it stands instead of
+    replacing the first."""
+    with pytest.raises(DocumentSyntaxError) as e:
+        parse_poset("elements: a b\n# more\nelements: c\nrelations:\n")
+    assert (e.value.line, e.value.column) == (3, 1)
+    assert "elements:" in e.value.expected
+    # an empty first line counts too
+    with pytest.raises(DocumentSyntaxError) as e:
+        parse_poset("elements:\nrelations:\nelements: a\n")
+    assert e.value.line == 3
+
+
 def test_unknown_label_surfaces_from_to_poset():
     doc = parse_poset("elements: a\nrelations: a<b")
     with pytest.raises(UnknownLabel):
@@ -107,6 +120,19 @@ def test_json_errors():
         parse_poset_json('{"elements": ["a"], "relations": [["a"]]}')
     with pytest.raises(DocumentSyntaxError):
         parse_poset_json('{"elements": ["a"], "relations": [], "kind": "heap"}')
+    # a name is what the text grammar's name: line could hold: a string,
+    # not blank, without a line break
+    for name in ["null", "7", '["v"]', '""', '"  "', r'"x\ny"', r'"x\n"', r'"x\ry"', r'"x\u2028y"']:
+        with pytest.raises(DocumentSyntaxError) as e:
+            parse_poset_json(f'{{"name": {name}, "elements": ["a"], "relations": []}}')
+        assert "name" in e.value.expected, name
+    # relation ends are labels, not values coerced to text: [null, "a"] is
+    # not None<a even when an element is named None
+    for pair in ['[null, "a"]', '["a", 1]', '[["a"], "b"]', '["a", {}]']:
+        doc = f'{{"elements": ["None", "a", "b", "1"], "relations": [{pair}]}}'
+        with pytest.raises(DocumentSyntaxError) as e:
+            parse_poset_json(doc)
+        assert "relations" in e.value.expected, pair
 
 
 def test_from_poset_emits_covers():

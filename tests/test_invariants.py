@@ -10,7 +10,6 @@ import germclosure
 import germclosure.closure
 import germclosure.embed
 from germclosure.cli import main
-from germclosure.germs import GermCutCase
 from germclosure.harness import PREDICATES
 
 PACKAGE = Path(germclosure.__file__).parent
@@ -73,9 +72,9 @@ def test_verify_reports_every_predicate_when_germ_cuts_are_dropped(monkeypatch, 
     real = germclosure.closure.closure_masks
 
     def without_germ_cuts(up, down, u_mask):
-        masks, cases = real(up, down, u_mask)
-        kept = [(m, c) for m, c in zip(masks, cases) if not isinstance(c, GermCutCase)]
-        return tuple(m for m, _ in kept), tuple(c for _, c in kept)
+        masks, germ_of = real(up, down, u_mask)
+        kept = [(m, r) for m, r in zip(masks, germ_of) if r is None]
+        return tuple(m for m, _ in kept), tuple(r for _, r in kept)
 
     for module in (germclosure.closure, germclosure.embed):
         monkeypatch.setattr(module, "closure_masks", without_germ_cuts)
