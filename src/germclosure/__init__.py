@@ -32,7 +32,6 @@ from .documents import (
 from .dot import to_dot
 from .embed import (
     EmbedResult,
-    PartitionCell,
     alpha,
     irr_closure_equals_g_t,
     g_sharp,

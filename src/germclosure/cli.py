@@ -134,11 +134,11 @@ def cmd_partition(args) -> int:
     t = Lattice.from_poset(p)
     cells = verify_partition(t)
     print(f"partition of subsets of {doc.name}: {len(cells)} cells, {1 << t.n} subsets")
-    for cell in cells:
+    for base, top in cells:
         print(
-            f"  base {set_label(p, cell.base_mask)}"
-            f"  g-bar {set_label(p, cell.top_mask)}"
-            f"  size {len(cell.members)}"
+            f"  base {set_label(p, base)}"
+            f"  g-bar {set_label(p, top)}"
+            f"  size {1 << (top & ~base).bit_count()}"
         )
     return 0
 

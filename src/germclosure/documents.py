@@ -7,11 +7,12 @@ The text grammar, one directive per line:
     elements: a b c           (labels: no whitespace, no '<')
     relations: a<c b<c        (each token is label<label)
 
-Blank lines and lines starting with '#' are skipped, and elements: may
-appear once. The JSON form is an object with the same four keys, its
-name a non-blank string on one line and its relations two-element arrays
-of strings. Parsing normalizes nothing beyond whitespace; serialization
-emits the directives in the order above and round-trips with parse.
+Blank lines and lines starting with '#' are skipped. name:, kind: and
+elements: may each appear once; relations: may repeat. The JSON form is
+an object with the same four keys and no others, its name a non-blank
+string on one line and its relations two-element arrays of labels.
+Parsing normalizes nothing beyond whitespace; serialization emits the
+directives in the order above and round-trips with parse.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ class PosetDocument:
 
 
 def _bad_label(s: str) -> bool:
-    return not s or "<" in s or any(c.isspace() for c in s)
+    # splitting on whitespace leaves a non-empty label without any whole
+    return "<" in s or s.split() != [s]
+
+
+def _is_labels(v: object) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) and not _bad_label(x) for x in v)
 
 
 def parse_poset(text: str) -> PosetDocument:
@@ -43,9 +49,9 @@ def parse_poset(text: str) -> PosetDocument:
     of the offending token."""
     name = "poset"
     kind = "poset"
-    elements: tuple[str, ...] | None = None
+    elements: tuple[str, ...] = ()
     relations: list[tuple[str, str]] = []
-    saw_relations = False
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -55,6 +61,9 @@ def parse_poset(text: str) -> PosetDocument:
             raise DocumentSyntaxError(lineno, 1, "a '<directive>:' line")
         directive = head.strip()
         col = len(head) + 2
+        if directive in seen and directive != "relations":
+            raise DocumentSyntaxError(lineno, 1, f"no second {directive}: line")
+        seen.add(directive)
         if directive == "name":
             name = rest.strip()
             if not name:
@@ -64,9 +73,6 @@ def parse_poset(text: str) -> PosetDocument:
             if kind not in KINDS:
                 raise DocumentSyntaxError(lineno, col, "'poset' or 'lattice'")
         elif directive == "elements":
-            if elements is not None:
-                raise DocumentSyntaxError(lineno, 1, "no second elements: line")
-            elements = ()
             for tok in rest.split():
                 if _bad_label(tok):
                     raise DocumentSyntaxError(
@@ -74,7 +80,6 @@ def parse_poset(text: str) -> PosetDocument:
                     )
                 elements += (tok,)
         elif directive == "relations":
-            saw_relations = True
             for tok in rest.split():
                 a, sep2, b = tok.partition("<")
                 if not sep2 or _bad_label(a) or _bad_label(b):
@@ -86,9 +91,9 @@ def parse_poset(text: str) -> PosetDocument:
             raise DocumentSyntaxError(
                 lineno, 1, "one of name:, kind:, elements:, relations:"
             )
-    if elements is None:
+    if "elements" not in seen:
         raise DocumentSyntaxError(0, 0, "an elements: line")
-    if not saw_relations:
+    if "relations" not in seen:
         raise DocumentSyntaxError(0, 0, "a relations: line")
     return PosetDocument(name, elements, tuple(relations), kind)
 
@@ -106,20 +111,17 @@ def parse_poset_json(text: str) -> PosetDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(e.lineno, e.colno, "valid JSON") from e
-    if not isinstance(obj, dict):
-        raise DocumentSyntaxError(1, 1, "a JSON object")
+    if not isinstance(obj, dict) or obj.keys() - {"name", "kind", "elements", "relations"}:
+        raise DocumentSyntaxError(1, 1, "a JSON object of name, kind, elements, relations")
     kind = obj.get("kind", "poset")
     if kind not in KINDS:
         raise DocumentSyntaxError(1, 1, "'poset' or 'lattice' kind")
     elements = obj.get("elements")
-    if not isinstance(elements, list) or any(
-        not isinstance(e, str) or _bad_label(e) for e in elements
-    ):
+    if not _is_labels(elements):
         raise DocumentSyntaxError(1, 1, "an 'elements' array of labels")
     relations = obj.get("relations", [])
-    if not isinstance(relations, list) or any(
-        not (isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r))
-        for r in relations
+    if not isinstance(relations, list) or not all(
+        _is_labels(r) and len(r) == 2 for r in relations
     ):
         raise DocumentSyntaxError(1, 1, "a 'relations' array of [a, b] label pairs")
     # the text grammar's name: is one non-blank line

@@ -193,19 +193,13 @@ def drop_sets(t: Lattice) -> list[int]:
     return drop
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    base_mask: int
-    top_mask: int
-    members: tuple[int, ...]
-
-
-def verify_partition(t: Lattice) -> list[PartitionCell]:
+def verify_partition(t: Lattice) -> list[tuple[int, int]]:
     """Group every subset of t by its unique base and check each group is
-    the full interval [U, Ḡ(U)]. The 2^n subsets are handled as bit
-    patterns: the group of U holds the S that keep exactly U after germ
-    removal, found by splitting the patterns on keep[e] = has[e] -
-    drop[e] one element at a time. Each base is closed once."""
+    the full interval [U, Ḡ(U)]; returns the cells as (U, Ḡ(U)) mask
+    pairs, bases by size. The 2^n subsets are handled as bit patterns:
+    the group of U holds the S that keep exactly U after germ removal,
+    found by splitting the patterns on keep[e] = has[e] - drop[e] one
+    element at a time. Each base is closed once."""
     n = t.n
     if n > PARTITION_SIZE_CAP:
         raise CapExceeded("partition ground set size", PARTITION_SIZE_CAP)
@@ -235,11 +229,6 @@ def verify_partition(t: Lattice) -> list[PartitionCell]:
             raise InvariantViolation("S escapes the interval [U, Ḡ(U)]")
         if interval & ~group:
             raise InvariantViolation("a cell misses part of its interval")
-        # U | sub over the submasks sub of free, ascending
-        members, sub = [u_mask], free & -free
-        while sub:
-            members.append(u_mask | sub)
-            sub = (sub - free) & free
-        cells.append(PartitionCell(u_mask, res.g_bar, tuple(members)))
+        cells.append((u_mask, res.g_bar))
     # the split puts each subset in exactly one group, so the cells cover all 2^n
     return cells

@@ -327,9 +327,9 @@ def _nu_criterion(ctx: Context, t: Lattice) -> Iterator[Result]:
         suffix = f"; U={set_label(t.poset, u_mask)}"
         try:
             res = is_germ_extensible(t, u_mask)
-        except InvariantViolation:
-            # raised when the criterion holds but ν is not injective
-            yield suffix, False, "criterion says True, injectivity says False"
+        except InvariantViolation as e:
+            # one result per U, naming the invariant that broke
+            yield suffix, False, _raised(e)
             continue
         direct = len(set(res.nu_image)) == len(res.masks)
         yield suffix, res.extensible == direct, (
@@ -343,9 +343,9 @@ def _partition(ctx: Context, t: Lattice) -> Iterator[Result]:
     """Unique bases tile the powerset into intervals [U, Ḡ(U)], and the
     full lattice's own base is the lattice minus its germs."""
     cells = verify_partition(t)
-    total = sum(len(c.members) for c in cells)
+    total = sum(1 << (top & ~base).bit_count() for base, top in cells)
     yield "", total == 1 << t.n, f"cells cover {total} of {1 << t.n} subsets"
-    base = next(c.base_mask for c in cells if c.top_mask == t.poset.full_mask)
+    base = next(base for base, top in cells if top == t.poset.full_mask)
     ok = base == t.poset.full_mask & ~grm_mask(t.poset)
     yield "", ok, "base of the whole lattice is not lattice minus germs"
 
@@ -403,16 +403,16 @@ def _instances(ctx: Context, over: str) -> Iterator[tuple[str, tuple]]:
                     yield f"{desc}; U={set_label(s, u_mask)}", (s, u_mask)
 
 
-def _raised_at(e: Exception) -> str:
-    """The suffix " (at module.function:line)" naming the innermost frame
-    of e's traceback in this package: the line that raised e, or that
-    called the outside code that did. The walk that caught e is such a
-    frame, so there is always one."""
+def _raised(e: Exception) -> str:
+    """The failure detail "Type: message (at module.function:line)" of e,
+    naming the innermost frame of its traceback in this package: the line
+    that raised e, or that called the outside code that did. The check
+    that caught e is such a frame, so there is always one."""
     package = os.path.dirname(__file__)
     tb = traceback.extract_tb(e.__traceback__)
     frame = [f for f in tb if os.path.dirname(f.filename) == package][-1]
     module = os.path.splitext(os.path.basename(frame.filename))[0]
-    return f" (at {module}.{frame.name}:{frame.lineno})"
+    return f"{type(e).__name__}: {e} (at {module}.{frame.name}:{frame.lineno})"
 
 
 def _walk(*parts: tuple[str, Check]) -> Callable[[Context], Iterator[Result]]:
@@ -429,7 +429,7 @@ def _walk(*parts: tuple[str, Check]) -> Callable[[Context], Iterator[Result]]:
                     for suffix, ok, detail in check(ctx, *args):
                         yield head + suffix, ok, detail
                 except Exception as e:
-                    yield head, False, f"{type(e).__name__}: {e}{_raised_at(e)}"
+                    yield head, False, _raised(e)
 
     return walk
 

@@ -361,42 +361,52 @@ def embeddings(
 
     The one map search in the package. Elements with the fewest
     candidates are placed first, each onto the images related to every
-    earlier image exactly as p relates the preimages.
+    earlier image exactly as p relates the preimages, lowest image first.
+    The search keeps its own stack, so it has no depth limit: left[k]
+    holds the images of the k-th placed element not tried yet.
+
+    The row tests alone keep f injective. Once some element is placed on
+    j, every other element of p lies strictly above it, strictly below it
+    or apart from it, so its image is confined to qup[j] - qdown[j],
+    qdown[j] - qup[j] or the complement of qup[j] | qdown[j]. j lies in
+    both rows, so in none of these.
     """
     n = p.n
     order = sorted(range(n), key=lambda i: candidates[i].bit_count())
     found: list[tuple[int, ...]] = []
     f = [-1] * n
     pup, pdown, qup, qdown = p.up, p.down, q.up, q.down
-
-    def place(k: int, used: int) -> bool:
-        if k == n:
+    left: list[int] = []
+    while True:
+        k = len(left)
+        if k < n:
+            i = order[k]
+            allowed = candidates[i]
+            for ii in order[:k]:
+                j = f[ii]
+                allowed &= qup[j] if pup[ii] >> i & 1 else ~qup[j]
+                allowed &= qdown[j] if pdown[ii] >> i & 1 else ~qdown[j]
+            left.append(allowed)
+        else:
             found.append(tuple(f))
-            return limit is not None and len(found) >= limit
-        i = order[k]
-        allowed = candidates[i] & ~used
-        for ii in order[:k]:
-            j = f[ii]
-            allowed &= qup[j] if pup[ii] >> i & 1 else ~qup[j]
-            allowed &= qdown[j] if pdown[ii] >> i & 1 else ~qdown[j]
-        for j in bit_indices(allowed):
-            f[i] = j
-            if place(k + 1, used | 1 << j):
-                return True
-        return False
-
-    place(0, 0)
-    return found
+            if limit is not None and len(found) >= limit:
+                return found
+        while left and not left[-1]:
+            left.pop()
+        if not left:
+            return found
+        low = left[-1] & -left[-1]
+        left[-1] ^= low
+        f[order[len(left) - 1]] = low.bit_length() - 1
 
 
 def isomorphisms(p: Poset, q: Poset, limit: Optional[int] = None) -> list[tuple[int, ...]]:
     """All order isomorphisms p -> q as index tuples f with f[i] in q.
 
     Candidate images are pruned by refined degree invariants before
-    backtracking. Pass limit=1 to stop at the first hit.
+    backtracking; posets of different sizes have invariant lists of
+    different lengths and fail there. Pass limit=1 to stop at the first hit.
     """
-    if p.n != q.n:
-        return []
     pinv = refined_invariants(p.up, p.down)
     qinv = refined_invariants(q.up, q.down)
     if sorted(pinv) != sorted(qinv):

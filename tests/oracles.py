@@ -93,3 +93,14 @@ def relabelled(p: Poset, perm) -> Poset:
         labels[perm[i]] = p.labels[i]
         up[perm[i]] = mask_of(perm[x] for x in bit_indices(row))
     return Poset(labels, up)
+
+
+def interval_members(base: int, top: int) -> list[int]:
+    """The masks of the interval [base, top], ascending: base | sub for
+    every submask sub of top - base, by the submask walk."""
+    free = top & ~base
+    members, sub = [base], free & -free
+    while sub:
+        members.append(base | sub)
+        sub = (sub - free) & free
+    return members

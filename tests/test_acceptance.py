@@ -28,7 +28,7 @@ from germclosure.harness import PREDICATES, run_suite
 from germclosure.poset import Poset, antichain, chain, set_label
 from germclosure.repdim import DimQuery, dimension
 
-from oracles import labelled_posets_by_filtering
+from oracles import interval_members, labelled_posets_by_filtering
 from test_cli import GOLDEN_CASES
 
 EXPECTED = Path(__file__).parent / "golden" / "expected"
@@ -125,12 +125,9 @@ def test_criterion_3_partition_totals():
     ok = True
     for t in lattices:
         cells = verify_partition(t)
-        total = sum(
-            1 << (cell.top_mask.bit_count() - cell.base_mask.bit_count())
-            for cell in cells
-        )
+        total = sum(1 << (top.bit_count() - base.bit_count()) for base, top in cells)
         ok &= total == 1 << t.n
-        seen = [m for cell in cells for m in cell.members]
+        seen = [m for cell in cells for m in interval_members(*cell)]
         ok &= sorted(seen) == list(range(1 << t.n))
     _verdict(3, ok, f"interval partition exact on {len(lattices)} lattices")
 

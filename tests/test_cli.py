@@ -41,6 +41,10 @@ GOLDEN_CASES = (
         ("gt__chain3", ["gt", str(INPUTS / "chain3.txt")]),
         ("partition__twelve", ["partition", str(INPUTS / "twelve.txt")]),
         ("partition__chain2", ["partition", str(INPUTS / "chain2.txt")]),
+        # the JSON form of twelve reproduces the text form's files
+        ("grm__twelve", ["grm", str(INPUTS / "twelve.json")]),
+        ("closure__twelve", ["closure", str(INPUTS / "twelve.json")]),
+        ("partition__twelve", ["partition", str(INPUTS / "twelve.json")]),
         (
             "extensible__twelve_irr",
             [
@@ -88,7 +92,15 @@ GOLDEN_CASES = (
 )
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+# a case's name is its expected file; a case that reads a JSON document
+# is told apart from the text one by its id
+CASE_IDS = [
+    f"{name}__json_input" if argv[1].endswith(".json") else name
+    for name, argv in GOLDEN_CASES
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=CASE_IDS)
 def test_golden(name, argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from germclosure import (
     serialize_poset_json,
     to_poset,
 )
+from germclosure.cli import main
 from germclosure.poset import Poset
 
 
@@ -84,6 +85,43 @@ def test_second_elements_line_is_a_syntax_error():
     assert e.value.line == 3
 
 
+def test_second_name_or_kind_line_is_a_syntax_error():
+    """name: and kind: may appear once, as elements: may; relations: may
+    repeat."""
+    for text, line in [
+        ("name: first\nname: second\nelements: a\nrelations:\n", 2),
+        ("kind: lattice\n# more\nkind: poset\nelements: a\nrelations:\n", 3),
+    ]:
+        with pytest.raises(DocumentSyntaxError) as e:
+            parse_poset(text)
+        assert (e.value.line, e.value.column) == (line, 1)
+        assert text.splitlines()[line - 1].split(":")[0] + ":" in e.value.expected
+    doc = parse_poset("elements: a b c\nrelations: a<b\nrelations: b<c\n")
+    assert doc.relations == (("a", "b"), ("b", "c"))
+
+
+REJECTED = {
+    "names.txt": "name: first\nname: second\nkind: lattice\nkind: poset\nelements: a\nrelations:\n",
+    "kinds.txt": "kind: lattice\nkind: poset\nelements: a\nrelations:\n",
+    "key.json": '{"elements": ["a", "b"], "Relations": [["a", "b"]]}',
+    "space.json": '{"elements": ["a", "b"], "relations": [["a", "b c"]]}',
+    "empty.json": '{"elements": ["a", "b"], "relations": [["a", ""]]}',
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_documents_exit_2(tmp_path, capsys, name):
+    """A repeated name: or kind: line, an unknown JSON key and a JSON
+    relation end that is not a label exit 2 from the command line, as a
+    text-grammar syntax error does, and print nothing on stdout."""
+    doc = tmp_path / name
+    doc.write_text(REJECTED[name])
+    assert main(["grm", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("syntax error: line ")
+
+
 def test_unknown_label_surfaces_from_to_poset():
     doc = parse_poset("elements: a\nrelations: a<b")
     with pytest.raises(UnknownLabel):
@@ -127,12 +165,19 @@ def test_json_errors():
             parse_poset_json(f'{{"name": {name}, "elements": ["a"], "relations": []}}')
         assert "name" in e.value.expected, name
     # relation ends are labels, not values coerced to text: [null, "a"] is
-    # not None<a even when an element is named None
-    for pair in ['[null, "a"]', '["a", 1]', '[["a"], "b"]', '["a", {}]']:
+    # not None<a even when an element is named None; and they pass the
+    # label test the elements pass, as a<b c fails in the text form
+    for pair in ['[null, "a"]', '["a", 1]', '[["a"], "b"]', '["a", {}]',
+                 '["a", "b c"]', '["a", ""]', '["a<b", "a"]', '["\\t", "a"]']:
         doc = f'{{"elements": ["None", "a", "b", "1"], "relations": [{pair}]}}'
         with pytest.raises(DocumentSyntaxError) as e:
             parse_poset_json(doc)
         assert "relations" in e.value.expected, pair
+    # a misspelled key is an error, not an antichain
+    for extra in ['"Relations": [["a", "b"]]', '"extra": 1']:
+        with pytest.raises(DocumentSyntaxError) as e:
+            parse_poset_json(f'{{"elements": ["a", "b"], "relations": [], {extra}}}')
+        assert e.value.expected == "a JSON object of name, kind, elements, relations", extra
 
 
 def test_from_poset_emits_covers():

@@ -34,7 +34,7 @@ from germclosure import (
 from germclosure.embed import PARTITION_SIZE_CAP, drop_sets
 from germclosure.germs import germs_within
 from germclosure.poset import bit_indices, mask_of
-from oracles import relabelled
+from oracles import interval_members, relabelled
 from test_poset import random_dags
 
 # closure lattices of random orders, small enough to partition
@@ -126,24 +126,23 @@ def test_partition_of_two_chain():
     cells = verify_partition(t)
     assert len(cells) == 2
     assert {(frozenset(), 2), (frozenset({"u2"}), 2)} == {
-        (frozenset(labels_of(t, c.base_mask)), len(c.members)) for c in cells
+        (frozenset(labels_of(t, base)), len(interval_members(base, top)))
+        for base, top in cells
     }
 
 
 def test_partition_counts(twelve):
     cells = verify_partition(twelve)
-    assert sum(len(c.members) for c in cells) == 1 << 12
-    for cell in cells:
-        assert len(cell.members) == 1 << (
-            cell.top_mask.bit_count() - cell.base_mask.bit_count()
-        )
+    assert sum(len(interval_members(base, top)) for base, top in cells) == 1 << 12
+    for base, top in cells:
+        assert len(interval_members(base, top)) == 1 << (top.bit_count() - base.bit_count())
 
 
 def test_partition_bases_are_exactly_the_extensible_sets(twelve):
     """Cross-check the cell bases against a direct extensibility filter
     over all 4096 subsets."""
     cells = verify_partition(twelve)
-    bases = {c.base_mask for c in cells}
+    bases = {base for base, _ in cells}
     direct = {
         m
         for m in range(1 << twelve.n)
@@ -160,12 +159,9 @@ def test_partition_cap():
 
 def test_membership_in_own_cell(twelve):
     cells = verify_partition(twelve)
-    for cell in cells:
-        assert cell.base_mask in cell.members
-        assert cell.top_mask in cell.members
-        for m in cell.members:
-            assert cell.base_mask & ~m == 0
-            assert m & ~cell.top_mask == 0
+    assert all(isinstance(base, int) and isinstance(top, int) for base, top in cells)
+    for base, top in cells:
+        assert base & ~top == 0
 
 
 def test_nu_not_injective_without_criterion():
@@ -209,9 +205,9 @@ def test_partition_matches_brute_force_base_search():
                 assert len(found) == 1
                 expected[s] = (found[0], g_bar[found[0]])
             got = {
-                m: (cell.base_mask, cell.top_mask)
+                m: cell
                 for cell in verify_partition(t)
-                for m in cell.members
+                for m in interval_members(*cell)
             }
             assert got == expected
             for s, cell in got.items():
@@ -267,8 +263,8 @@ def test_partition_of_relabelled_twelve_maps_through_the_permutation(twelve):
 
     def cells(t, move=lambda mask: mask):
         return {
-            (move(c.base_mask), move(c.top_mask), frozenset(map(move, c.members)))
-            for c in verify_partition(t)
+            (move(base), move(top), frozenset(map(move, interval_members(base, top))))
+            for base, top in verify_partition(t)
         }
 
     relabelled_twelve = Lattice.from_poset(relabelled(twelve.poset, perm))

@@ -161,9 +161,33 @@ def test_nu_criterion_names_a_join_map_that_is_not_injective(monkeypatch):
     [report] = run_suite(specs, ["nu-criterion"])
     assert report.checked == green.checked
     assert report.failures
-    assert {detail for _, detail in report.failures} == {
-        "criterion says True, injectivity says False"
-    }
+    for _, detail in report.failures:
+        assert re.fullmatch(
+            r"InvariantViolation: the join criterion holds but ν identifies two members"
+            r" \(at embed\.is_germ_extensible:\d+\)",
+            detail,
+        ), detail
+
+
+def test_nu_criterion_names_the_invariant_that_broke(monkeypatch):
+    """A germ finder that reports each germ twice breaks the closure, not
+    ν: the failure names the closure's own invariant and where it was
+    raised, one result per U as before."""
+    specs = [CorpusSpec(0), CorpusSpec(4, "lattices")]
+    [green] = run_suite(specs, ["nu-criterion"])
+    real = germclosure.closure.germs_within
+    monkeypatch.setattr(
+        germclosure.closure, "germs_within", lambda *args: real(*args) * 2
+    )
+    [report] = run_suite(specs, ["nu-criterion"])
+    assert report.checked == green.checked
+    assert len(report.failures) == 40
+    for _, detail in report.failures:
+        assert re.fullmatch(
+            r"InvariantViolation: two germs share a strict lower cut"
+            r" \(at closure\._members:\d+\)",
+            detail,
+        ), detail
 
 
 def test_nu_criterion_names_a_join_map_that_is_not_monotone(monkeypatch):

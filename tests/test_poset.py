@@ -1,6 +1,7 @@
 """Order relation plumbing: construction, bounds, subposets, isomorphism
 search."""
 
+import sys
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from germclosure import (
     enumerate_posets,
     isomorphisms,
 )
+from germclosure.cli import main
 from germclosure.poset import (
     bit_indices,
     down_closed_masks,
@@ -197,6 +199,22 @@ def test_embeddings_draw_from_candidates():
     assert embeddings(c2, c3, [c3.full_mask, 0b010]) == [(0, 1)]
     assert embeddings(c2, c3, [c3.full_mask] * 2, limit=2) == [(0, 1), (0, 2)]
     assert embeddings(antichain(2), c3, [c3.full_mask] * 2) == []
+
+
+def test_map_search_runs_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The search keeps its own stack: a chain under two incomparable
+    tops, longer than Python's recursion limit, has its two
+    automorphisms counted, and dim on it exits 0."""
+    n = sys.getrecursionlimit() + 100
+    labels = [f"c{i}" for i in range(n - 2)] + ["t1", "t2"]
+    relations = list(zip(labels[: n - 3], labels[1 : n - 2]))
+    relations += [(labels[n - 3], "t1"), (labels[n - 3], "t2")]
+    assert automorphism_count(Poset.from_relations(labels, relations)) == 2
+    doc = tmp_path / "tall.txt"
+    rels = " ".join(f"{a}<{b}" for a, b in relations)
+    doc.write_text(f"name: tall\nelements: {' '.join(labels)}\nrelations: {rels}\n")
+    assert main(["dim", str(doc), "--x-max", "0"]) == 0
+    assert f"|E|={n} " in capsys.readouterr().out
 
 
 def test_down_closed_masks_ascending():
